@@ -23,19 +23,8 @@ vet-json:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Fleet regime gate at full scale (DESIGN.md §14; writes BENCH_fleet.json).
-.PHONY: fleet
-fleet:
-	go run ./cmd/caer-bench -fleet
-
-# SLO regime gate at full scale (DESIGN.md §15; writes BENCH_slo.json plus
-# the caer-doctor bundle SLO_*.json).
-.PHONY: slo
-slo:
-	go run ./cmd/caer-bench -slo
-
-# Partition regime gate at full scale (DESIGN.md §16; writes
-# BENCH_partition.json).
-.PHONY: partition
-partition:
-	go run ./cmd/caer-bench -partition
+# Every regime suite at full scale (experiments.Regimes; writes
+# BENCH_<name>.json for each, plus the slo suite's caer-doctor bundle).
+.PHONY: suites
+suites:
+	go run ./cmd/caer-bench -suite all

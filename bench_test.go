@@ -16,10 +16,13 @@ import (
 	"testing"
 
 	icaer "caer/internal/caer"
+	"caer/internal/comm"
 	"caer/internal/experiments"
 	"caer/internal/machine"
 	"caer/internal/mem"
+	"caer/internal/pmu"
 	"caer/internal/runner"
+	"caer/internal/sched"
 	"caer/internal/spec"
 	"caer/internal/workload"
 )
@@ -200,6 +203,71 @@ func BenchmarkMachinePeriod(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.RunPeriod()
+	}
+}
+
+// BenchmarkPMUProbe: one sampler sweep (read-and-restart of every
+// counter) on a warm 2-core machine.
+func BenchmarkPMUProbe(b *testing.B) {
+	m := machine.New(machine.Config{Cores: 2})
+	mcf, _ := spec.ByName("mcf")
+	m.Bind(0, mcf.Batch().NewProcess(0, 1))
+	m.Bind(1, spec.LBM().Batch().NewProcess(1<<28, 2))
+	m.RunPeriod()
+	s := pmu.NewSampler(pmu.New(m, 0), []pmu.Event{
+		pmu.EventLLCMisses, pmu.EventLLCAccesses,
+		pmu.EventInstrRetired, pmu.EventCycles,
+	}, false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Probe()
+	}
+}
+
+// BenchmarkCommPublish: one windowed sample publish into a table slot.
+func BenchmarkCommPublish(b *testing.B) {
+	t := comm.NewTable(icaer.DefaultConfig().WindowSize)
+	slot := t.Register("bench", comm.RoleBatch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot.Publish(float64(i & 255))
+	}
+}
+
+// BenchmarkEngineTick: one full detect/respond tick of a rule-based
+// engine, including its own publish and the neighbour window read.
+func BenchmarkEngineTick(b *testing.B) {
+	cfg := icaer.DefaultConfig()
+	t := comm.NewTable(cfg.WindowSize)
+	lat := t.Register("lat", comm.RoleLatency)
+	own := t.Register("batch", comm.RoleBatch)
+	eng := icaer.NewEngine(icaer.NewRuleDetector(cfg), icaer.NewRedLightGreenLight(cfg), own, []*comm.Slot{lat})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.BumpPeriod()
+		lat.Publish(float64((i * 7) & 255))
+		eng.Tick(float64(i & 255))
+	}
+}
+
+// BenchmarkSchedTick: one scheduler period on a small 2-domain machine —
+// machine step, classifier observation, per-domain engine ticks and
+// admission/aging, the ModeScheduled inner loop.
+func BenchmarkSchedTick(b *testing.B) {
+	m := machine.New(machine.Config{Cores: 4, Domains: 2, PeriodCycles: 6000, SlicesPerPeriod: 60})
+	sd := sched.New(m, sched.Config{AdmitThreshold: 100})
+	mcf, _ := spec.ByName("mcf")
+	sd.AddLatency("mcf", 0, mcf.NewProcess(0, 1))
+	lbm := spec.LBM()
+	for j := 0; j < 2; j++ {
+		j := j
+		sd.Submit(sched.Job{Name: "lbm", New: func() *machine.Process {
+			return lbm.Batch().NewProcess(uint64(1<<28)+uint64(j)<<26, 2+int64(j))
+		}})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sd.Step()
 	}
 }
 

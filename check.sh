@@ -35,68 +35,38 @@ go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s ./internal/trace
 # in cache_test — fills stay inside the owner's mask, counts balance, and
 # every resident line stays hittable.
 go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
-# Chaos gate: the fault-injection regimes (DESIGN.md §8) in short mode —
-# every fault class must fail open under every heuristic.
-go run ./cmd/caer-bench -chaos -quick > /dev/null
-# Perf gate: the performance baseline (DESIGN.md §11) in short mode — the
-# suite exits non-zero if the parallel domain stepper's results are not
-# byte-identical to the serial run's (the determinism contract).
-go run ./cmd/caer-bench -perf -quick > /dev/null
-rm -f BENCH_perf.json
-# Sampling gate: the detection-latency-vs-overhead sweep (DESIGN.md §13)
-# in short mode — the event-driven modes must flag every contention burst
-# the poller flags, with no false flags, at strictly fewer probes.
-go run ./cmd/caer-bench -sampling -quick > /dev/null
-rm -f BENCH_sampling.json
-# Scheduler gate: the placement regimes (DESIGN.md §9) in short mode —
-# contention-aware placement must beat round-robin at equal throughput
-# (asserted by the experiments suite test; this exercises the artifact path).
-# -telemetry-out doubles as the telemetry smoke: the run must leave a
-# Prometheus snapshot whose core metric families are present and non-empty.
-go run ./cmd/caer-bench -sched -quick -telemetry-out TELEMETRY_snapshot.txt > /dev/null
-rm -f BENCH_sched.json
-# Fleet gate: the cluster-level placement regimes (DESIGN.md §14) in short
-# mode — least-pressure cross-machine placement must strictly beat
-# round-robin on the sensitive service's p99 request latency at equal
-# admitted throughput, and the BENCH_fleet.json artifact must be written.
-go run ./cmd/caer-bench -fleet -quick > /dev/null
-test -s BENCH_fleet.json
-rm -f BENCH_fleet.json
-# Partition gate: the cache-partitioning response regimes (DESIGN.md §16)
-# in short mode — way-partitioning must strictly beat pure throttling on
-# the latency app's QoS at equal admitted throughput with a no-later batch
-# makespan, and the BENCH_partition.json artifact must be byte-identical
-# across domain-stepper worker counts (the determinism contract).
-go run ./cmd/caer-bench -partition -quick -workers 1 > /dev/null
-test -s BENCH_partition.json
-mv BENCH_partition.json BENCH_partition.w1.json
-go run ./cmd/caer-bench -partition -quick -workers 4 > /dev/null
-cmp BENCH_partition.json BENCH_partition.w1.json
-rm -f BENCH_partition.json BENCH_partition.w1.json
-# SLO gate (DESIGN.md §15) in short mode: metrics-fed placement must match
-# or beat least-pressure on the sensitive p99 at equal throughput, a total
-# scrape outage must degrade to least-pressure byte-for-byte, and the alert
-# battery's seeded monitor outages must each fire exactly one burn-rate
-# alert with zero false positives. The run leaves BENCH_slo.json plus the
-# doctor bundle (SLO_*.json).
-go run ./cmd/caer-bench -slo -quick > /dev/null
-test -s BENCH_slo.json
+# Shm header fuzz smoke: every header OpenShmTable accepts describes a
+# table CreateShmTable would build (no zero or overflowing geometry).
+go test -run='^$' -fuzz='^FuzzParseShmHeader$' -fuzztime=10s ./internal/comm
+# Regime gates (experiments.Regimes; EXPERIMENTS.md maps each suite to its
+# claim) in short mode, twice: every suite must hold its gate at workers 1
+# and 4, and every artifact (BENCH_*.json plus the slo suite's SLO_*.json
+# doctor bundle) must be byte-identical across the two (the determinism
+# contract). The workers-1 run also leaves the telemetry snapshot.
+rm -rf suites.w1 suites.w4
+go run ./cmd/caer-bench -suite all -quick -workers 1 -csv suites.w1 \
+    -telemetry-out suites.w1/TELEMETRY_snapshot.txt > /dev/null
+go run ./cmd/caer-bench -suite all -quick -workers 4 -csv suites.w4 > /dev/null
+for f in suites.w1/*.json; do
+    cmp "$f" "suites.w4/${f#suites.w1/}"
+done
 # Doctor smoke: the offline replay over the bundle must name the seeded
 # violation class and count all three episodes.
-go run ./cmd/caer-doctor -dir . > DOCTOR_out.txt
+go run ./cmd/caer-doctor -dir suites.w1 > DOCTOR_out.txt
 grep -q "degraded-budget firing" DOCTOR_out.txt || {
     echo "doctor smoke: seeded degraded-budget violation not named" >&2; exit 1; }
 grep -q "diagnosis: 3 SLO violation" DOCTOR_out.txt || {
     echo "doctor smoke: expected 3 diagnosed violations" >&2; exit 1; }
-rm -f BENCH_slo.json SLO_series.json SLO_events.json SLO_trace.json \
-      SLO_objectives.json DOCTOR_out.txt
+rm -f DOCTOR_out.txt
+# Telemetry smoke: the run must leave a Prometheus snapshot whose core
+# metric families are present and non-empty.
 for fam in caer_pmu_reads_total caer_comm_publishes_total \
            caer_engine_ticks_total caer_engine_verdicts_total \
            caer_sched_admissions_total caer_telemetry_ops_total; do
-    grep -q "^$fam" TELEMETRY_snapshot.txt || {
+    grep -q "^$fam" suites.w1/TELEMETRY_snapshot.txt || {
         echo "telemetry smoke: metric family $fam missing" >&2; exit 1; }
     awk -v fam="$fam" '$1 ~ "^"fam"($|{)" { sum += $NF } END { exit !(sum > 0) }' \
-        TELEMETRY_snapshot.txt || {
+        suites.w1/TELEMETRY_snapshot.txt || {
         echo "telemetry smoke: metric family $fam is empty" >&2; exit 1; }
 done
-rm -f TELEMETRY_snapshot.txt
+rm -rf suites.w1 suites.w4

@@ -1,6 +1,6 @@
 // Command caer-doctor is the offline SLO diagnosis tool: it joins a
 // time-series dump, the armed SLO objectives, the fleet/scheduler decision
-// logs, and the Chrome span trace — the bundle `caer-bench -slo` writes —
+// logs, and the Chrome span trace — the bundle `caer-bench -suite slo` writes —
 // and prints, per SLO violation, the causal chain that explains it: the
 // burn window, the firing alert's trajectory, the fail-open degraded spans
 // and probe silence inside the window, and the placement decisions that

@@ -3,7 +3,7 @@
 // -telemetry: per-core contention pressure, the current directive, and
 // degraded (fail-open) state, plus the headline pipeline counters.
 //
-// Fleet snapshots (caer-fleet/caer-bench -fleet serve a Registry.Union
+// Fleet snapshots (caer-fleet, caer-bench -suite fleet: a Registry.Union
 // where every machine's series carries a machine="<k>" label) render in
 // fleet mode automatically: cores group under their machine, -machine
 // narrows the view to one machine, and an alerts pane summarizes every

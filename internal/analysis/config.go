@@ -136,7 +136,7 @@ func DefaultConfig() *Config {
 			// mask lookup runs on every Insert, confined victim scans on
 			// every confined miss, and the mask helpers they call.
 			"mem.Cache.maskOf", "mem.lruPolicy.VictimMask",
-			"mem.plruPolicy.VictimMask", "mem.plruPolicy.victimFull",
+			"mem.plruPolicy.VictimMask", "mem.plruPolicy.Victim",
 			"mem.randomPolicy.VictimMask",
 			"mem.WayMask.Has", "mem.WayMask.Count", "mem.WayMask.NthWay",
 			// Contention classifier: per-period profile updates and the
@@ -279,15 +279,16 @@ func DefaultConfig() *Config {
 		DeterministicFuncs: []string{
 			// Telemetry exporters whose output lands in diffed artifacts.
 			"telemetry.SpanRecorder.ChromeEvents",
-			// Experiment result assembly feeding BENCH_*.json byte-identity
-			// gates (DESIGN.md §11).
+			// Experiment result assembly feeding the BENCH_*.json byte-identity
+			// gates (DESIGN.md §11): every registered regime's table and
+			// artifact writer, and the shared encoder they call.
+			"experiments.ChaosRegime.Render", "experiments.ChaosRegime.WriteJSON",
 			"experiments.SchedRegime.Table", "experiments.SchedRegime.WriteJSON",
-			"experiments.PerfReport.Table", "experiments.PerfReport.WriteJSON",
 			"experiments.SamplingReport.Table", "experiments.SamplingReport.WriteJSON",
 			"experiments.FleetRegime.Table", "experiments.FleetRegime.WriteJSON",
 			"experiments.SLORegime.Table", "experiments.SLORegime.WriteJSON",
 			"experiments.PartitionRegime.Table", "experiments.PartitionRegime.WriteJSON",
-			"experiments.marshalComparable",
+			"experiments.writeJSON",
 		},
 		MetricNames: []string{
 			"caer_pmu_reads_total", "caer_pmu_rearms_total", "caer_pmu_probes_total",

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"syscall"
 
@@ -66,13 +67,48 @@ const shmOffPeriod = 16
 
 func slotStride(windowSize int) int { return slotFixedSize + 8*windowSize }
 
+// shmTableSize validates a table geometry and returns the mapped size in
+// bytes: both counts must be positive, fit the header's u32 fields, and
+// header + slots*stride must not overflow. CreateShmTable and
+// parseShmHeader share this one rule, so OpenShmTable accepts exactly the
+// geometries CreateShmTable can build.
+func shmTableSize(windowSize, slotCount int) (int, error) {
+	if windowSize <= 0 || slotCount <= 0 || int64(windowSize) > math.MaxUint32 || int64(slotCount) > math.MaxUint32 {
+		return 0, fmt.Errorf("invalid shm geometry window=%d slots=%d", windowSize, slotCount)
+	}
+	stride := uint64(slotFixedSize) + 8*uint64(windowSize) // < 2^36: no overflow
+	hi, slots := bits.Mul64(uint64(slotCount), stride)
+	if hi != 0 || slots > math.MaxInt-shmHeaderSize {
+		return 0, fmt.Errorf("shm geometry window=%d slots=%d overflows", windowSize, slotCount)
+	}
+	return shmHeaderSize + int(slots), nil
+}
+
+// parseShmHeader decodes and validates a table header: the magic, then the
+// window and slot counts under the same geometry rule CreateShmTable
+// enforces. It returns the counts and the size the mapping must have.
+func parseShmHeader(hdr []byte) (windowSize, slotCount, size int, err error) {
+	if len(hdr) < shmHeaderSize {
+		return 0, 0, 0, fmt.Errorf("shm header too small (%d bytes)", len(hdr))
+	}
+	if binary.LittleEndian.Uint64(hdr[0:]) != shmMagic {
+		return 0, 0, 0, fmt.Errorf("not a CAER table (bad magic)")
+	}
+	windowSize = int(binary.LittleEndian.Uint32(hdr[8:]))
+	slotCount = int(binary.LittleEndian.Uint32(hdr[12:]))
+	if size, err = shmTableSize(windowSize, slotCount); err != nil {
+		return 0, 0, 0, err
+	}
+	return windowSize, slotCount, size, nil
+}
+
 // CreateShmTable creates (truncating) a file-backed table at path with the
 // given geometry and maps it.
 func CreateShmTable(path string, windowSize, slotCount int) (*ShmTable, error) {
-	if windowSize <= 0 || slotCount <= 0 {
-		return nil, fmt.Errorf("comm: invalid shm geometry window=%d slots=%d", windowSize, slotCount)
+	size, err := shmTableSize(windowSize, slotCount)
+	if err != nil {
+		return nil, fmt.Errorf("comm: create %s: %w", path, err)
 	}
-	size := shmHeaderSize + slotCount*slotStride(windowSize)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("comm: create shm file: %w", err)
@@ -94,7 +130,9 @@ func CreateShmTable(path string, windowSize, slotCount int) (*ShmTable, error) {
 }
 
 // OpenShmTable attaches to an existing table file created by
-// CreateShmTable (typically from another process).
+// CreateShmTable (typically from another process). The header is validated
+// before the table is usable: a corrupt geometry (zero window or slots, or
+// a size that overflows) is an error, not a later divide-by-zero.
 func OpenShmTable(path string) (*ShmTable, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -114,18 +152,14 @@ func OpenShmTable(path string) (*ShmTable, error) {
 		f.Close()
 		return nil, fmt.Errorf("comm: mmap: %w", err)
 	}
-	if binary.LittleEndian.Uint64(data[0:]) != shmMagic {
-		syscall.Munmap(data)
-		f.Close()
-		return nil, fmt.Errorf("comm: %s is not a CAER table (bad magic)", path)
+	windowSize, slotCount, want, err := parseShmHeader(data)
+	if err == nil && int(st.Size()) < want {
+		err = fmt.Errorf("shm file truncated: %d < %d bytes", st.Size(), want)
 	}
-	windowSize := int(binary.LittleEndian.Uint32(data[8:]))
-	slotCount := int(binary.LittleEndian.Uint32(data[12:]))
-	want := shmHeaderSize + slotCount*slotStride(windowSize)
-	if int(st.Size()) < want {
+	if err != nil {
 		syscall.Munmap(data)
 		f.Close()
-		return nil, fmt.Errorf("comm: shm file truncated: %d < %d bytes", st.Size(), want)
+		return nil, fmt.Errorf("comm: open %s: %w", path, err)
 	}
 	return &ShmTable{f: f, data: data, windowSize: windowSize, slotCount: slotCount}, nil
 }

@@ -3,7 +3,10 @@
 package comm
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -266,4 +269,68 @@ func TestShmTableHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { tab.Publish(0, 42) }); n != 0 {
 		t.Errorf("ShmTable.Publish allocates %v per run, want 0", n)
 	}
+}
+
+// shmHeaderBytes encodes a table header with the given geometry.
+func shmHeaderBytes(windowSize, slotCount uint32) []byte {
+	hdr := make([]byte, shmHeaderSize)
+	binary.LittleEndian.PutUint64(hdr[0:], shmMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], windowSize)
+	binary.LittleEndian.PutUint32(hdr[12:], slotCount)
+	return hdr
+}
+
+// TestOpenShmTableRejectsBadGeometry is the regression test for a header
+// with window 0: it used to open with a nil error, and the next Publish
+// divided by zero. Open must apply CreateShmTable's geometry rule.
+func TestOpenShmTableRejectsBadGeometry(t *testing.T) {
+	cases := map[string][]byte{
+		"zero window": shmHeaderBytes(0, 2),
+		"zero slots":  shmHeaderBytes(8, 0),
+		"truncated":   shmHeaderBytes(8, 2),
+	}
+	for name, hdr := range cases {
+		path := filepath.Join(t.TempDir(), "bad.tbl")
+		// Large enough for any slot count above, except the truncated case.
+		body := append(hdr, make([]byte, 64)...)
+		if err := os.WriteFile(path, body, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if tab, err := OpenShmTable(path); err == nil {
+			tab.Close()
+			t.Errorf("%s: OpenShmTable accepted header %x", name, hdr)
+		}
+	}
+	// slots*stride at the u32 maxima exceeds 2^64: an overflow, not a size.
+	if _, _, _, err := parseShmHeader(shmHeaderBytes(math.MaxUint32, math.MaxUint32)); err == nil {
+		t.Error("overflowing geometry accepted")
+	}
+}
+
+// FuzzParseShmHeader: every header parseShmHeader accepts describes a
+// table CreateShmTable would build — positive counts and a size equal to
+// the create-side computation, which Publish can then index without
+// dividing by zero or overflowing.
+func FuzzParseShmHeader(f *testing.F) {
+	f.Add(shmHeaderBytes(8, 2))
+	f.Add(shmHeaderBytes(0, 2))
+	f.Add(shmHeaderBytes(8, 0))
+	f.Add(shmHeaderBytes(math.MaxUint32, math.MaxUint32))
+	f.Add([]byte("CAERTBL"))
+	f.Fuzz(func(t *testing.T, hdr []byte) {
+		window, slots, size, err := parseShmHeader(hdr)
+		if err != nil {
+			return
+		}
+		if window <= 0 || slots <= 0 {
+			t.Fatalf("accepted geometry window=%d slots=%d", window, slots)
+		}
+		want, err := shmTableSize(window, slots)
+		if err != nil || want != size {
+			t.Fatalf("accepted size %d, create-side rule gives %d (%v)", size, want, err)
+		}
+		if last := shmHeaderSize + (slots-1)*slotStride(window); last+slotStride(window) != size || last < 0 {
+			t.Fatalf("slot layout %d+%d does not end at size %d", last, slotStride(window), size)
+		}
+	})
 }

@@ -248,13 +248,17 @@ func ChaosHeuristics() []caer.HeuristicKind {
 	return []caer.HeuristicKind{caer.HeuristicShutter, caer.HeuristicRule, caer.HeuristicHybrid}
 }
 
+// ChaosRegime is the chaos suite's result: one report per (heuristic,
+// fault class, sampling mode) regime.
+type ChaosRegime []ChaosReport
+
 // ChaosSuite runs every fault class against every chaos heuristic under
 // polling, then re-runs the full fault sweep with the rule heuristic in
 // threshold-interrupt mode — the event-driven path must recover through
 // every fault class too. Reports keep clean baselines first within each
 // block.
-func ChaosSuite(seed int64, quick bool) []ChaosReport {
-	var out []ChaosReport
+func ChaosSuite(seed int64, quick bool) ChaosRegime {
+	var out ChaosRegime
 	for _, h := range ChaosHeuristics() {
 		for _, f := range FaultKinds() {
 			out = append(out, RunChaos(ChaosScenario{Heuristic: h, Fault: f, Seed: seed, Quick: quick}))
@@ -269,14 +273,37 @@ func ChaosSuite(seed int64, quick bool) []ChaosReport {
 	return out
 }
 
-// WriteChaosReport renders the suite's reports as the EXPERIMENTS.md chaos
-// table.
-func WriteChaosReport(w io.Writer, reports []ChaosReport) {
-	fmt.Fprintf(w, "%-12s %-15s %-9s %9s %7s/%-7s %7s %6s %6s %8s %11s\n",
-		"heuristic", "fault", "sampling", "periods", "c+", "c-", "paused", "trips", "degr", "skipped", "max-sample")
-	for _, r := range reports {
-		fmt.Fprintf(w, "%-12s %-15s %-9s %9d %7d/%-7d %7d %6d %6d %8d %11.0f\n",
-			r.Heuristic, r.Fault, r.Sampling, r.Periods, r.CPositive, r.CNegative,
-			r.PausedPeriods, r.WatchdogTrips, r.DegradedTicks, r.SkippedPeriods, r.MaxSample)
+// Check enforces the fail-open gate: under every regime the latency app
+// completed, and no engine was still degraded once the faults ceased.
+func (r ChaosRegime) Check() error {
+	for _, c := range r {
+		if !c.Completed {
+			return fmt.Errorf("fail-open violation: %s/%s never completed", c.Heuristic, c.Fault)
+		}
+		if c.DegradedAtEnd {
+			return fmt.Errorf("fail-open violation: %s/%s still degraded after faults ceased", c.Heuristic, c.Fault)
+		}
 	}
+	return nil
+}
+
+// Render writes the suite's reports as the EXPERIMENTS.md chaos table.
+func (r ChaosRegime) Render(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "Chaos regimes (fault injection, DESIGN.md §8)\n\n%-12s %-15s %-9s %9s %7s/%-7s %7s %6s %6s %8s %11s\n",
+		"heuristic", "fault", "sampling", "periods", "c+", "c-", "paused", "trips", "degr", "skipped", "max-sample"); err != nil {
+		return err
+	}
+	for _, c := range r {
+		if _, err := fmt.Fprintf(w, "%-12s %-15s %-9s %9d %7d/%-7d %7d %6d %6d %8d %11.0f\n",
+			c.Heuristic, c.Fault, c.Sampling, c.Periods, c.CPositive, c.CNegative,
+			c.PausedPeriods, c.WatchdogTrips, c.DegradedTicks, c.SkippedPeriods, c.MaxSample); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteJSON emits the suite as the BENCH_chaos.json artifact.
+func (r ChaosRegime) WriteJSON(w io.Writer) error {
+	return writeJSON(w, r)
 }

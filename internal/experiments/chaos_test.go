@@ -28,7 +28,8 @@ func TestFaultKindStrings(t *testing.T) {
 // underflow-magnitude sample ever reaches the table, detection keeps
 // producing verdicts, and degradation never outlives the faults.
 func TestChaosSuiteFailsOpen(t *testing.T) {
-	reports := ChaosSuite(1, true)
+	t.Parallel()
+	reports := regimeRun("chaos", 1, 1).(ChaosRegime)
 	type regime struct {
 		h caer.HeuristicKind
 		s caer.SamplingMode
@@ -121,7 +122,8 @@ func TestChaosMonitorCrashBoundsPauses(t *testing.T) {
 // shared fail-open assertions apply to them via TestChaosSuiteFailsOpen —
 // here we check the block exists and is complete).
 func TestChaosSuiteCoversInterruptSampling(t *testing.T) {
-	reports := ChaosSuite(1, true)
+	t.Parallel()
+	reports := regimeRun("chaos", 1, 1).(ChaosRegime)
 	covered := map[FaultKind]bool{}
 	for _, r := range reports {
 		if r.Sampling == caer.SamplingInterrupt {
@@ -150,9 +152,10 @@ func TestChaosDeterministic(t *testing.T) {
 
 func TestWriteChaosReport(t *testing.T) {
 	var sb strings.Builder
-	WriteChaosReport(&sb, []ChaosReport{
-		{Heuristic: caer.HeuristicRule, Fault: FaultCounterReset, Periods: 100, CPositive: 3},
-	})
+	r := ChaosRegime{{Heuristic: caer.HeuristicRule, Fault: FaultCounterReset, Periods: 100, CPositive: 3}}
+	if err := r.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	for _, want := range []string{"rule-based", "counter-reset", "100"} {
 		if !strings.Contains(out, want) {

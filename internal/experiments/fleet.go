@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -75,21 +74,13 @@ type fleetRegimeConfig struct {
 	migratePeriod int
 }
 
-// FleetSuite runs the fleet regime comparison (DESIGN.md §14): four
+// FleetSuiteWorkers runs the fleet regime comparison (DESIGN.md §14): four
 // 2-LLC-domain machines — two hosting a sensitive mcf open-loop service,
 // two an insensitive namd one — fed a diurnal, lbm-heavy job schedule, with
 // cross-machine placement compared at equal admitted throughput. quick
 // shrinks instruction counts 4x (and the traffic horizon to match, keeping
-// offered load constant) for a fast smoke run.
-func FleetSuite(seed int64, quick bool) FleetRegime {
-	return FleetSuiteWorkers(seed, quick, 1)
-}
-
-// FleetSuiteWorkers is FleetSuite with every machine's domain-stepper
-// worker pool sized to workers. Results are bit-identical for every worker
-// count (the machine package's determinism contract, inherited fleet-wide);
-// workers is deliberately NOT recorded in the FleetRegime artifact so
-// byte-comparing BENCH_fleet.json across worker counts pins that contract.
+// offered load constant) for a fast smoke run; workers sizes every
+// machine's domain-stepper pool and is not recorded in the artifact.
 func FleetSuiteWorkers(seed int64, quick bool, workers int) FleetRegime {
 	scale := uint64(1)
 	if quick {
@@ -287,7 +278,5 @@ func (r FleetRegime) Render(w io.Writer) error {
 // WriteJSON emits the fleet regime suite as a machine-readable artifact
 // (the BENCH_fleet.json format caer-bench writes for external tooling).
 func (r FleetRegime) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeJSON(w, r)
 }

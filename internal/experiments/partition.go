@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -71,7 +70,7 @@ type partitionConfig struct {
 	response  sched.ResponseKind
 }
 
-// PartitionSuite runs the response-family head-to-head (DESIGN.md §16):
+// PartitionSuiteWorkers runs the response-family head-to-head (DESIGN.md §16):
 // omnetpp — whose scattered heap references make it maximally fragile to
 // LLC eviction — as the latency-sensitive service sharing one 3-core LLC
 // domain with capacity-thief jobs (soplex and astar, large uniform
@@ -82,16 +81,8 @@ type partitionConfig struct {
 // protects the service without idling anyone. (A pure-bandwidth adversary
 // like lbm is the converse regime — only throttling relieves a saturated
 // memory channel — which is why the hybrid row exists.) quick shrinks
-// instruction counts 4x.
-func PartitionSuite(seed int64, quick bool) PartitionRegime {
-	return PartitionSuiteWorkers(seed, quick, 1)
-}
-
-// PartitionSuiteWorkers is PartitionSuite with the machine's domain-stepper
-// worker pool sized to workers. Results are bit-identical for every worker
-// count; workers is deliberately NOT recorded in the artifact so
-// byte-comparing BENCH_partition.json across worker counts pins the
-// determinism contract.
+// instruction counts 4x; workers sizes the machine's domain-stepper pool
+// and is not recorded in the artifact.
 func PartitionSuiteWorkers(seed int64, quick bool, workers int) PartitionRegime {
 	scale := uint64(1)
 	if quick {
@@ -246,7 +237,5 @@ func (r PartitionRegime) Render(w io.Writer) error {
 // WriteJSON emits the regime suite as a machine-readable artifact (the
 // BENCH_partition.json format caer-bench writes for external tooling).
 func (r PartitionRegime) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeJSON(w, r)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -282,7 +281,5 @@ func (r SamplingReport) Render(w io.Writer) error {
 // WriteJSON emits the sweep as a machine-readable artifact (the
 // BENCH_sampling.json format caer-bench writes for external tooling).
 func (r SamplingReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeJSON(w, r)
 }

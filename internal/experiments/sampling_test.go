@@ -28,7 +28,8 @@ func TestBurstScheduleExtra(t *testing.T) {
 // the event-driven modes matching polling's burst coverage at strictly
 // fewer probes, with no false flags — the BENCH_sampling.json contract.
 func TestSamplingSuiteQuick(t *testing.T) {
-	r := SamplingSuite(1, true)
+	t.Parallel()
+	r := regimeRun("sampling", 1, 1).(SamplingReport)
 	if err := r.Check(); err != nil {
 		var buf bytes.Buffer
 		r.Render(&buf)
@@ -68,15 +69,6 @@ func TestSamplingSuiteQuick(t *testing.T) {
 	}
 	if last.Skipped == 0 {
 		t.Error("interrupt point skipped no probes")
-	}
-}
-
-func TestSamplingSuiteDeterministic(t *testing.T) {
-	a, b := SamplingSuite(7, true), SamplingSuite(7, true)
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if !bytes.Equal(ja, jb) {
-		t.Fatal("identical seeds produced different sweeps")
 	}
 }
 

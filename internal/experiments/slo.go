@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -20,7 +19,7 @@ import (
 )
 
 // SLOPolicyResult is one placement policy's outcome in the SLO regime
-// suite: the FleetSuite comparison re-run with every node's SLO engine
+// suite: the fleet-suite comparison re-run with every node's SLO engine
 // armed, adding the alert trajectory to the usual QoS columns.
 type SLOPolicyResult struct {
 	Name string
@@ -82,7 +81,7 @@ type SLOBattery struct {
 	FalsePositives int
 }
 
-// SLORegime is the SLO regime suite's result: the FleetSuite cluster
+// SLORegime is the SLO regime suite's result: the fleet-suite cluster
 // compared across least-pressure, telemetry-fed, and telemetry-outage
 // placement with per-node SLO engines armed, plus the seeded-violation
 // alert battery that pins the burn-rate state machine end to end.
@@ -109,11 +108,6 @@ type SLORegime struct {
 	series, events, trace, objectives []byte
 }
 
-// SLOSuite runs the SLO regime suite (DESIGN.md §15).
-func SLOSuite(seed int64, quick bool) SLORegime {
-	return SLOSuiteWorkers(seed, quick, 1)
-}
-
 // sumCounter scrapes every node registry and sums the named counter
 // family's values.
 func sumCounter(c *fleet.Cluster, name string) (total float64) {
@@ -136,11 +130,11 @@ func sumCounter(c *fleet.Cluster, name string) (total float64) {
 	return total
 }
 
-// SLOSuiteWorkers is SLOSuite with every machine's worker pool sized to
-// workers. As with the fleet suite, workers is not recorded in the
-// artifact: byte-comparing BENCH_slo.json across worker counts pins the
-// determinism contract for the whole telemetry data plane (scrape →
-// parse → place) and the SLO engine.
+// SLOSuiteWorkers runs the SLO regime suite (DESIGN.md §15) with every
+// machine's worker pool sized to workers. As with the fleet suite, workers
+// is not recorded in the artifact: byte-comparing BENCH_slo.json across
+// worker counts pins the determinism contract for the whole telemetry data
+// plane (scrape → parse → place) and the SLO engine.
 func SLOSuiteWorkers(seed int64, quick bool, workers int) SLORegime {
 	scale := uint64(1)
 	if quick {
@@ -392,9 +386,7 @@ func (out *SLORegime) runBattery(seed int64, scale uint64, workers int, schedCfg
 	if err := spans.WriteChrome(&traceBuf); err != nil {
 		panic(err)
 	}
-	enc := json.NewEncoder(&objBuf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(objs); err != nil {
+	if err := writeJSON(&objBuf, objs); err != nil {
 		panic(err)
 	}
 	out.series = seriesBuf.Bytes()
@@ -513,9 +505,7 @@ func (r SLORegime) Render(w io.Writer) error {
 
 // WriteJSON emits the suite as the BENCH_slo.json artifact.
 func (r SLORegime) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeJSON(w, r)
 }
 
 // WriteDoctorBundle writes the battery run's diagnosis inputs into dir:

@@ -2,44 +2,28 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// The SLO suite is a pure function of the seed (pinned by
-// TestSLORegimeSuiteDeterministic), so one quick-mode execution serves the
-// gate assertions, the determinism baseline, and the bundle test.
-var (
-	sloQuickOnce sync.Once
-	sloQuickRun  SLORegime
-)
-
-func sloQuick() SLORegime {
-	sloQuickOnce.Do(func() { sloQuickRun = SLOSuite(1, true) })
-	return sloQuickRun
-}
 
 // TestSLORegimeSuite is the SLO ISSUE's headline acceptance check: the
 // metrics-fed policy must match or beat least-pressure on the sensitive
 // p99 at equal throughput with fresh-view decisions, a total scrape outage
 // must degrade to least-pressure exactly, and the alert battery's seeded
 // monitor outages must each raise exactly one firing episode with zero
-// false positives — the gate caer-bench -slo enforces.
+// false positives — the gate caer-bench -suite slo enforces. It reads
+// TestRegimes' seed-1 run and also checks the doctor bundle.
 func TestSLORegimeSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slo regime suite is slow; skipped in -short")
 	}
-	r := sloQuick()
+	t.Parallel()
+	r := regimeRun("slo", 1, 1).(SLORegime)
 
 	if err := r.Check(); err != nil {
 		t.Fatalf("slo gate: %v", err)
-	}
-	if got := len(r.Battery.Episodes); got != len(r.Battery.Windows) {
-		t.Errorf("battery raised %d episodes for %d seeded windows", got, len(r.Battery.Windows))
 	}
 	for _, ep := range r.Battery.Episodes {
 		if ep.Window < 0 {
@@ -60,18 +44,6 @@ func TestSLORegimeSuite(t *testing.T) {
 		}
 	}
 
-	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var decoded SLORegime
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if decoded.Machines != r.Machines || len(decoded.Policies) != len(r.Policies) {
-		t.Errorf("artifact round-trip mismatch: %+v", decoded)
-	}
-
 	// The doctor bundle the suite leaves next to the artifact must be
 	// complete and non-empty — caer-doctor's whole input contract.
 	dir := t.TempDir()
@@ -85,33 +57,5 @@ func TestSLORegimeSuite(t *testing.T) {
 		if err != nil || st.Size() == 0 {
 			t.Errorf("bundle file %s missing or empty (err %v)", name, err)
 		}
-	}
-}
-
-// TestSLORegimeSuiteDeterministic pins the artifact byte-for-byte across
-// repeat runs and across per-machine worker-pool sizes: BENCH_slo.json is
-// a pure function of the seed.
-func TestSLORegimeSuiteDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slo regime suite is slow; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("suite repeats exceed the race budget; internal/fleet pins repeat and worker determinism under -race")
-	}
-	render := func(r SLORegime) []byte {
-		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		return buf.Bytes()
-	}
-	a := render(sloQuick())
-	b := render(SLOSuiteWorkers(1, true, 1))
-	if !bytes.Equal(a, b) {
-		t.Error("repeat run of the slo suite produced a different artifact")
-	}
-	c := render(SLOSuiteWorkers(1, true, 4))
-	if !bytes.Equal(a, c) {
-		t.Error("Workers=4 slo suite artifact differs from Workers=1")
 	}
 }

@@ -163,8 +163,8 @@ func TestCacheOwnerOccupancy(t *testing.T) {
 
 func TestCacheWayPartitioning(t *testing.T) {
 	c := newTestCache(1, 4)
-	c.SetWayPartition(0, 0, 2)
-	c.SetWayPartition(1, 2, 4)
+	c.SetOwnerMask(0, ContiguousMask(0, 2), ResizeOrphan)
+	c.SetOwnerMask(1, ContiguousMask(2, 4), ResizeOrphan)
 	// Owner 0 fills its 2 ways then self-evicts; owner 1's lines untouched.
 	c.Insert(100, 1, false)
 	c.Insert(101, 1, false)
@@ -197,10 +197,10 @@ func TestCachePartitionValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SetWayPartition(%v) did not panic", b)
+					t.Errorf("SetOwnerMask(%d, ContiguousMask(%d, %d)) did not panic", b[0], b[1], b[2])
 				}
 			}()
-			c.SetWayPartition(b[0], b[1], b[2])
+			c.SetOwnerMask(b[0], ContiguousMask(b[1], b[2]), ResizeOrphan)
 		}()
 	}
 }

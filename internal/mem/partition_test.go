@@ -153,7 +153,7 @@ func TestVictimMaskFullEquivalence(t *testing.T) {
 	builders := map[string]func() Policy{
 		"lru":    func() Policy { return NewLRU(sets, ways) },
 		"plru":   func() Policy { return NewTreePLRU(sets, ways) },
-		"random": func() Policy { return NewRandomPolicy(7) },
+		"random": func() Policy { return NewRandomPolicy(ways, 7) },
 	}
 	full := FullMask(ways)
 	for name, build := range builders {
@@ -167,7 +167,7 @@ func TestVictimMaskFullEquivalence(t *testing.T) {
 				b.Touch(set, way)
 				continue
 			}
-			va := a.Victim(set, 0, ways)
+			va := a.Victim(set)
 			vb := b.VictimMask(set, full)
 			if va != vb {
 				t.Fatalf("%s: step %d: Victim = %d, VictimMask(full) = %d", name, i, va, vb)
@@ -185,7 +185,7 @@ func TestVictimMaskStaysInMask(t *testing.T) {
 	policies := map[string]Policy{
 		"lru":    NewLRU(sets, ways),
 		"plru":   NewTreePLRU(sets, ways),
-		"random": NewRandomPolicy(3),
+		"random": NewRandomPolicy(ways, 3),
 	}
 	prop := func(raw uint8, set uint8, touches []uint16) bool {
 		mask := WayMask(raw)

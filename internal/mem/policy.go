@@ -21,15 +21,13 @@ import (
 type Policy interface {
 	// Touch records a hit or fill of the given way in the given set.
 	Touch(set, way int)
-	// Victim returns the way to evict from the set. The candidate ways are
-	// the half-open range [loWay, hiWay) to support contiguous
-	// way-partitioning; for an unpartitioned cache the range covers every
-	// way.
-	Victim(set, loWay, hiWay int) int
+	// Victim returns the way to evict from the set, choosing among all of
+	// its ways.
+	Victim(set int) int
 	// VictimMask returns the way to evict among the ways in mask, which is
 	// never empty. For a full mask every policy must choose exactly the
-	// way Victim(set, 0, ways) would — the equivalence the full-mask
-	// differential pin relies on.
+	// way Victim(set) would — the equivalence the full-mask differential
+	// pin relies on.
 	VictimMask(set int, mask WayMask) int
 	// Name identifies the policy in stats output.
 	Name() string
@@ -58,11 +56,11 @@ func (p *lruPolicy) Touch(set, way int) {
 	p.stamp[set*p.ways+way] = p.tick
 }
 
-func (p *lruPolicy) Victim(set, loWay, hiWay int) int {
+func (p *lruPolicy) Victim(set int) int {
 	row := p.stamp[set*p.ways : set*p.ways+p.ways]
-	victim := loWay
-	best := row[loWay]
-	for w := loWay + 1; w < hiWay; w++ {
+	victim := 0
+	best := row[0]
+	for w := 1; w < len(row); w++ {
 		if row[w] < best {
 			best = row[w]
 			victim = w
@@ -73,7 +71,7 @@ func (p *lruPolicy) Victim(set, loWay, hiWay int) int {
 
 func (p *lruPolicy) VictimMask(set int, mask WayMask) int {
 	// Ascending-way scan with a strictly-less comparison: for a full mask
-	// this visits the same ways in the same order as Victim(set, 0, ways)
+	// this visits the same ways in the same order as Victim(set)
 	// and therefore breaks timestamp ties identically (lowest way wins).
 	row := p.stamp[set*p.ways : set*p.ways+p.ways]
 	victim := -1
@@ -128,32 +126,18 @@ func (p *plruPolicy) Touch(set, way int) {
 	}
 }
 
-func (p *plruPolicy) Victim(set, loWay, hiWay int) int {
-	// Partitioned victim selection falls back to scanning the subrange with
-	// the tree as a tie-breaker; the common case is the full range.
-	if loWay != 0 || hiWay != p.ways {
-		// Follow tree but clamp into [loWay, hiWay).
-		v := p.victimFull(set)
-		if v >= loWay && v < hiWay {
-			return v
-		}
-		return loWay + (v % (hiWay - loWay))
-	}
-	return p.victimFull(set)
-}
-
 func (p *plruPolicy) VictimMask(set int, mask WayMask) int {
 	// Follow the tree; when the leaf lands outside the mask, remap it onto
 	// the mask's k-th way. A full mask always takes the first branch, so
-	// the choice matches Victim(set, 0, ways) exactly.
-	v := p.victimFull(set)
+	// the choice matches Victim(set) exactly.
+	v := p.Victim(set)
 	if mask.Has(v) {
 		return v
 	}
 	return mask.NthWay(v % mask.Count())
 }
 
-func (p *plruPolicy) victimFull(set int) int {
+func (p *plruPolicy) Victim(set int) int {
 	node := 0
 	lo, hi := 0, p.ways
 	for hi-lo > 1 {
@@ -172,21 +156,22 @@ func (p *plruPolicy) victimFull(set int) int {
 // randomPolicy evicts a uniformly random way; cheap and stateless, used as a
 // control in replacement-policy ablations.
 type randomPolicy struct {
-	rng *rand.Rand
+	rng  *rand.Rand
+	ways int
 }
 
-// NewRandomPolicy returns a random-replacement policy seeded for
-// reproducibility.
-func NewRandomPolicy(seed int64) Policy {
-	return &randomPolicy{rng: rand.New(rand.NewSource(seed))}
+// NewRandomPolicy returns a random-replacement policy for a cache with the
+// given associativity, seeded for reproducibility.
+func NewRandomPolicy(ways int, seed int64) Policy {
+	return &randomPolicy{rng: rand.New(rand.NewSource(seed)), ways: ways}
 }
 
 func (p *randomPolicy) Name() string { return "random" }
 
 func (p *randomPolicy) Touch(set, way int) {}
 
-func (p *randomPolicy) Victim(set, loWay, hiWay int) int {
-	return loWay + p.rng.Intn(hiWay-loWay)
+func (p *randomPolicy) Victim(set int) int {
+	return p.rng.Intn(p.ways)
 }
 
 func (p *randomPolicy) VictimMask(set int, mask WayMask) int {

@@ -11,11 +11,11 @@ func TestLRUVictimIsLeastRecentlyTouched(t *testing.T) {
 		p.Touch(0, w)
 	}
 	p.Touch(0, 0) // order now: 1 (oldest), 2, 3, 0
-	if got := p.Victim(0, 0, 4); got != 1 {
+	if got := p.Victim(0); got != 1 {
 		t.Errorf("Victim = %d, want 1", got)
 	}
 	p.Touch(0, 1)
-	if got := p.Victim(0, 0, 4); got != 2 {
+	if got := p.Victim(0); got != 2 {
 		t.Errorf("Victim = %d, want 2", got)
 	}
 }
@@ -26,7 +26,7 @@ func TestLRUVictimRespectsRange(t *testing.T) {
 		p.Touch(0, w)
 	}
 	// Way 0 is globally oldest, but the partition only allows [4,8).
-	if got := p.Victim(0, 4, 8); got != 4 {
+	if got := p.VictimMask(0, ContiguousMask(4, 8)); got != 4 {
 		t.Errorf("Victim in [4,8) = %d, want 4", got)
 	}
 }
@@ -37,10 +37,10 @@ func TestLRUSetsAreIndependent(t *testing.T) {
 	p.Touch(0, 1)
 	p.Touch(1, 1)
 	p.Touch(1, 0)
-	if got := p.Victim(0, 0, 2); got != 0 {
+	if got := p.Victim(0); got != 0 {
 		t.Errorf("set 0 victim = %d, want 0", got)
 	}
-	if got := p.Victim(1, 0, 2); got != 1 {
+	if got := p.Victim(1); got != 1 {
 		t.Errorf("set 1 victim = %d, want 1", got)
 	}
 }
@@ -51,7 +51,7 @@ func TestTreePLRUNeverVictimizesMostRecent(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		w := rng.Intn(8)
 		p.Touch(0, w)
-		if v := p.Victim(0, 0, 8); v == w {
+		if v := p.Victim(0); v == w {
 			t.Fatalf("iteration %d: PLRU victimized the just-touched way %d", i, w)
 		}
 	}
@@ -63,10 +63,10 @@ func TestTreePLRUVictimInRange(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		set := rng.Intn(4)
 		p.Touch(set, rng.Intn(16))
-		if v := p.Victim(set, 0, 16); v < 0 || v >= 16 {
+		if v := p.Victim(set); v < 0 || v >= 16 {
 			t.Fatalf("victim %d out of range", v)
 		}
-		if v := p.Victim(set, 4, 12); v < 4 || v >= 12 {
+		if v := p.VictimMask(set, ContiguousMask(4, 12)); v < 4 || v >= 12 {
 			t.Fatalf("partitioned victim %d outside [4,12)", v)
 		}
 	}
@@ -82,11 +82,12 @@ func TestTreePLRUPanicsOnNonPowerOfTwo(t *testing.T) {
 }
 
 func TestRandomPolicyVictimInRangeAndDeterministic(t *testing.T) {
-	p1 := NewRandomPolicy(99)
-	p2 := NewRandomPolicy(99)
+	p1 := NewRandomPolicy(16, 99)
+	p2 := NewRandomPolicy(16, 99)
+	mask := ContiguousMask(2, 10)
 	for i := 0; i < 500; i++ {
-		v1 := p1.Victim(0, 2, 10)
-		v2 := p2.Victim(0, 2, 10)
+		v1 := p1.VictimMask(0, mask)
+		v2 := p2.VictimMask(0, mask)
 		if v1 != v2 {
 			t.Fatalf("same-seed random policies diverged at %d: %d vs %d", i, v1, v2)
 		}
@@ -103,7 +104,7 @@ func TestPolicyNames(t *testing.T) {
 	}{
 		{NewLRU(1, 2), "lru"},
 		{NewTreePLRU(1, 2), "tree-plru"},
-		{NewRandomPolicy(1), "random"},
+		{NewRandomPolicy(2, 1), "random"},
 	}
 	for _, c := range cases {
 		if got := c.p.Name(); got != c.want {

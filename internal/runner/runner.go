@@ -15,6 +15,7 @@ import (
 
 	"caer/internal/caer"
 	"caer/internal/machine"
+	"caer/internal/mem"
 	"caer/internal/pmu"
 	"caer/internal/sched"
 	"caer/internal/spec"
@@ -274,9 +275,9 @@ func newMachine(s Scenario) *machine.Machine {
 		if s.PartitionWays >= l3.Ways() {
 			panic(fmt.Sprintf("runner: partition of %d ways leaves none for the batch (L3 has %d)", s.PartitionWays, l3.Ways()))
 		}
-		l3.SetWayPartition(0, 0, s.PartitionWays)
+		l3.SetOwnerMask(0, mem.ContiguousMask(0, s.PartitionWays), mem.ResizeOrphan)
 		for core := 1; core < s.Cores; core++ {
-			l3.SetWayPartition(core, s.PartitionWays, l3.Ways())
+			l3.SetOwnerMask(core, mem.ContiguousMask(s.PartitionWays, l3.Ways()), mem.ResizeOrphan)
 		}
 	}
 	return m
