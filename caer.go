@@ -36,6 +36,8 @@
 //
 // The experiments sub-API regenerates every data figure of the paper's
 // evaluation; see NewSuite.
+//
+//caer:deterministic
 package caer
 
 import (

@@ -30,6 +30,9 @@ awk -v t="$total" -v min="${CAER_COVERAGE_MIN:-80.3}" 'BEGIN { exit !(t+0 >= min
 go test -run='^$' -fuzz='^FuzzParseText$' -fuzztime=10s ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzParseSeries$' -fuzztime=10s ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzParseChromeTrace$' -fuzztime=10s ./internal/trace
+# Binary trace reader fuzz smoke: malformed traces are errors, never
+# panics, and accepted traces round-trip through WriteTo.
+go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=10s ./internal/trace
 # Resize-path fuzz smoke: random partition op sequences (lookups, fills,
 # orphan/invalidate resizes, back-invalidations) against the model checker
 # in cache_test — fills stay inside the owner's mask, counts balance, and
@@ -38,6 +41,15 @@ go test -run='^$' -fuzz='^FuzzCachePartition$' -fuzztime=10s ./internal/mem
 # Shm header fuzz smoke: every header OpenShmTable accepts describes a
 # table CreateShmTable would build (no zero or overflowing geometry).
 go test -run='^$' -fuzz='^FuzzParseShmHeader$' -fuzztime=10s ./internal/comm
+# Figure oracle: regenerate every paper figure and ablation CSV and
+# require each to be byte-identical to the committed copy under results/
+# (the behaviour oracle for refactors and perf work; ~35 s on 2 CPUs).
+rm -rf figures.out
+go run ./cmd/caer-bench -fig all -ablation all -csv figures.out > /dev/null
+for f in results/*.csv; do
+    cmp "$f" "figures.out/${f#results/}"
+done
+rm -rf figures.out
 # Regime gates (experiments.Regimes; EXPERIMENTS.md maps each suite to its
 # claim) in short mode, twice: every suite must hold its gate at workers 1
 # and 4, and every artifact (BENCH_*.json plus the slo suite's SLO_*.json

@@ -17,7 +17,12 @@
 // comma-separated subset of the suite; -json emits the findings as one
 // machine-readable document on stdout instead of compiler-style lines;
 // -unused-suppressions additionally reports //caer:allow comments that
-// waived nothing (CI turns this on so dead waivers cannot accumulate).
+// waived nothing, //caer:cold barriers no hot function calls, and
+// //caer:hot roots another root already reaches (CI turns this on so dead
+// waivers cannot accumulate). What the analyzers check against comes from
+// //caer: directives on the declarations themselves (internal/analysis,
+// directives.go), so a partial run such as `caer-vet ./internal/comm`
+// cannot see hot roots in packages it does not load; the gates run ./...
 // Findings can be waived in source with a documented suppression comment,
 // whose reason is mandatory:
 //
@@ -88,9 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	cfg := analysis.DefaultConfig()
-	cfg.ReportUnusedSuppressions = *unused
-
+	cfg := &analysis.Config{ReportUnusedSuppressions: *unused}
 	findings, err := analysis.Vet(modRoot, modPath, dirs, analyzers, cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "caer-vet:", err)

@@ -11,7 +11,7 @@
 //     syscall-light, or the runtime's own overhead drowns the contention
 //     signal it measures (the paper's §6 headline is <1% overhead). Since
 //     v2 the ban propagates transitively through the static call graph
-//     from the inventoried roots, and findings carry the offending call
+//     from the //caer:hot roots, and findings carry the offending call
 //     path.
 //   - enumswitch: switches over reaction enums (comm.Directive and friends)
 //     must be exhaustive — a default: that silently runs the batch
@@ -27,10 +27,15 @@
 //     edge (close of the channel it ranges over, a done-select that
 //     returns, or sync.WaitGroup pairing).
 //   - telemetrydiscipline: metric registration stays out of hot-path-
-//     reachable code, and every registered family name must match the
-//     spine inventory (DESIGN.md §10).
+//     reachable code, and every registered family name is a compile-time
+//     constant (DESIGN.md §10 documents each one; a test holds them equal).
 //   - suppression: //caer:allow comments must carry a reason, and (when
-//     enabled) must actually suppress something.
+//     enabled) must actually suppress something; //caer: directives must
+//     be well-formed and (when enabled) not dead.
+//
+// What the analyzers check against is declared in the code, by directive
+// comments on the declarations concerned (//caer:hot, //caer:cold,
+// //caer:alloc, //caer:enum, //caer:deterministic; see directives.go).
 //
 // The suite is built entirely on the standard library (go/parser, go/ast,
 // go/types); it deliberately takes no dependency on golang.org/x/tools so
@@ -54,8 +59,28 @@ import (
 	"strings"
 )
 
+// Config carries the per-run settings. Everything the analyzers check
+// against is read from the code's own //caer: directives.
+type Config struct {
+	// ModulePath is the import path of the module under analysis; set by
+	// Vet. lockdiscipline scopes its error-discard rule to functions
+	// declared inside this module.
+	ModulePath string
+
+	// ReportUnusedSuppressions turns stale //caer:allow comments, dead
+	// //caer:cold barriers and redundant //caer:hot roots into findings
+	// (the -unused-suppressions flag; on in CI).
+	ReportUnusedSuppressions bool
+}
+
+// InModule reports whether a package path belongs to the analyzed module.
+func (c *Config) InModule(pkgPath string) bool {
+	return c.ModulePath != "" &&
+		(pkgPath == c.ModulePath || strings.HasPrefix(pkgPath, c.ModulePath+"/"))
+}
+
 // Finding is one analyzer diagnostic, positioned in the source tree. Path,
-// when non-empty, is the call chain from an inventoried hot-path root to
+// when non-empty, is the call chain from a //caer:hot root to
 // the function containing the finding (hotpath v2, telemetrydiscipline).
 type Finding struct {
 	Analyzer string
@@ -91,11 +116,13 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	Cfg      *Config
+	// Dirs indexes the //caer: directives of every loaded package.
+	Dirs *Directives
 
 	// Graph is the static call graph over every package of the run (one
 	// package in unit tests, the whole module under Vet).
 	Graph *CallGraph
-	// Hot maps every hot-path function (inventoried roots plus their
+	// Hot maps every hot-path function (//caer:hot roots plus their
 	// transitive static closure, minus cold barriers) to its label path
 	// from a root. See CallGraph.HotSet.
 	Hot map[*types.Func][]string
@@ -123,22 +150,15 @@ func (p *Pass) ReportPathf(pos token.Pos, path []string, format string, args ...
 	})
 }
 
-// HotPathOf returns the root-to-fn call chain if fn is in the hot-path
-// closure (nil otherwise). Roots map to a single-element path.
-func (p *Pass) HotPathOf(fn *types.Func) []string {
-	if p.Hot == nil {
-		return nil
-	}
-	return p.Hot[fn]
-}
-
-// Suppression is the pseudo-analyzer that owns suppression-hygiene
-// findings (missing reasons, stale allows). Its Run is a no-op: the
-// driver emits its findings while filtering, where usage is known.
+// Suppression is the pseudo-analyzer that owns suppression- and
+// directive-hygiene findings (missing reasons, stale allows, malformed or
+// dead directives). Its Run is a no-op: the driver emits its findings
+// while filtering, where usage is known.
 var Suppression = &Analyzer{
 	Name: "suppression",
-	Doc: "require //caer:allow comments to carry a reason, and report allows " +
-		"that no longer suppress anything (stale suppressions accumulate risk)",
+	Doc: "require //caer:allow comments and //caer:cold barriers to carry a reason, " +
+		"reject malformed //caer: directives, and report allows, barriers and hot " +
+		"roots that no longer do anything (stale waivers accumulate risk)",
 	Run: func(*Pass) {},
 }
 
@@ -202,8 +222,9 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, cfg *Config) []Finding {
 // closure, applies suppression filtering, and returns the surviving
 // findings sorted by position.
 func VetPackages(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
+	dirs, scanned := indexDirectives(pkgs)
 	graph := BuildCallGraph(pkgs)
-	hot := graph.HotSet(cfg)
+	hot := graph.HotSet(dirs)
 
 	active := make(map[string]bool)
 	for _, a := range analyzers {
@@ -221,15 +242,17 @@ func VetPackages(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding 
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				Cfg:      cfg,
+				Dirs:     dirs,
 				Graph:    graph,
 				Hot:      hot,
 				findings: &findings,
 			})
 		}
-		sup := collectSuppressions(pkg)
-		findings = filterSuppressed(sup, findings)
+		c := scanned[pkg]
+		findings = filterSuppressed(c.sups, findings)
 		if active[Suppression.Name] {
-			findings = append(findings, suppressionFindings(sup, cfg, active)...)
+			findings = append(findings, suppressionFindings(c.sups, cfg, active)...)
+			findings = append(findings, directiveFindings(c.dirs, graph, dirs, hot, cfg)...)
 		}
 		all = append(all, findings...)
 	}
@@ -273,34 +296,19 @@ func (s *suppression) allows(analyzer string) bool {
 	return s.analyzers[analyzer] || s.analyzers["all"]
 }
 
-// collectSuppressions parses //caer:allow comments across the package.
-func collectSuppressions(pkg *Package) []*suppression {
-	var sups []*suppression
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//caer:allow")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(text)
-				s := &suppression{
-					pos:       pkg.Fset.Position(c.Pos()),
-					analyzers: make(map[string]bool),
-				}
-				if len(fields) > 0 {
-					for _, name := range strings.Split(fields[0], ",") {
-						if name = strings.TrimSpace(name); name != "" {
-							s.analyzers[name] = true
-						}
-					}
-					s.reason = strings.Join(fields[1:], " ")
-				}
-				sups = append(sups, s)
+// newSuppression parses the fields after //caer:allow: a comma-separated
+// analyzer list, then the reason.
+func newSuppression(pos token.Position, fields []string) *suppression {
+	s := &suppression{pos: pos, analyzers: make(map[string]bool)}
+	if len(fields) > 0 {
+		for _, name := range strings.Split(fields[0], ",") {
+			if name = strings.TrimSpace(name); name != "" {
+				s.analyzers[name] = true
 			}
 		}
+		s.reason = strings.Join(fields[1:], " ")
 	}
-	return sups
+	return s
 }
 
 // filterSuppressed drops findings covered by a //caer:allow comment and
@@ -389,7 +397,7 @@ func sortedNames(set map[string]bool) []string {
 // position.
 func Vet(modRoot, modPath string, dirs []string, analyzers []*Analyzer, cfg *Config) ([]Finding, error) {
 	if cfg == nil {
-		cfg = DefaultConfig()
+		cfg = &Config{}
 	}
 	cfg.ModulePath = modPath
 	loader := NewLoader(modRoot, modPath)

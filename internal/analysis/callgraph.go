@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // This file builds the static call graph the dataflow analyzers walk
@@ -46,8 +47,8 @@ type Node struct {
 	In   []Edge
 }
 
-// Label renders the node the way the config inventories name functions:
-// "pkg.Type.Method" or "pkg.Func", using the last import-path element.
+// Label renders the node as "pkg.Type.Method" or "pkg.Func", using the
+// last import-path element.
 func (n *Node) Label() string {
 	recv := recvTypeName(n.Fn)
 	if recv != "" {
@@ -57,6 +58,8 @@ func (n *Node) Label() string {
 }
 
 // EdgeKind classifies how a call edge was established.
+//
+//caer:enum
 type EdgeKind int
 
 const (
@@ -374,47 +377,80 @@ func (g *CallGraph) Reachable(roots []*Node, follow func(Edge) bool, barrier fun
 	return paths
 }
 
-// HotSet computes the hot-path closure for cfg: the inventoried root
-// functions plus everything transitively reachable from them over
-// static, defer, and interface edges — stopping at the reviewed cold
-// barriers (Config.ColdFuncs) and never crossing a go edge (the spawn is
-// its own finding; the spawned body runs off the period loop). Method
-// values are likewise not followed: storing a reference costs nothing,
-// and the eventual caller is budgeted where the call happens.
+// HotSet computes the hot-path closure: the //caer:hot roots plus
+// everything transitively reachable from them over static, defer, and
+// interface edges — stopping at //caer:cold barriers and never crossing a
+// go edge (the spawn is its own finding; the spawned body runs off the
+// period loop). Method values are likewise not followed: storing a
+// reference costs nothing, and the eventual caller is budgeted where the
+// call happens.
 //
-// The returned map carries, per hot function, the label path from an
-// inventoried root ("caer.Runtime.Step → caer.Runtime.relaunch → ...");
-// roots map to a single-element path.
-func (g *CallGraph) HotSet(cfg *Config) map[*types.Func][]string {
+// The returned map carries, per hot function, the label path from a root
+// ("caer.Runtime.Step → caer.Runtime.relaunch → ..."); roots map to a
+// single-element path.
+func (g *CallGraph) HotSet(idx *Directives) map[*types.Func][]string {
+	hot := make(map[*types.Func][]string)
+	for node, path := range g.hotReach(g.hotRoots(idx), idx) {
+		hot[node.Fn] = labels(path)
+	}
+	return hot
+}
+
+// hotRoots returns the //caer:hot nodes in label order.
+func (g *CallGraph) hotRoots(idx *Directives) []*Node {
 	var roots []*Node
 	for _, n := range g.Nodes() {
-		if cfg.IsHotPathFunc(n.Pkg.Path, recvTypeName(n.Fn), n.Fn.Name()) {
+		if idx.has(n.Fn, verbHot) {
 			roots = append(roots, n)
 		}
 	}
-	follow := func(e Edge) bool {
-		switch e.Kind {
-		case EdgeStatic, EdgeDefer, EdgeInterface:
-			return true
-		case EdgeGo, EdgeMethodValue:
-			// A spawned goroutine runs off the period budget (and gets its
-			// own lifecycle analyzer); a method value is only hot if some
-			// hot function eventually calls it, which shows up as a static
-			// or interface edge at that call site.
-			return false
-		}
-		return false
+	return roots
+}
+
+// hotReach walks the graph from roots under the hot-propagation rules.
+func (g *CallGraph) hotReach(roots []*Node, idx *Directives) map[*Node][]*Node {
+	return g.Reachable(roots, followHot, func(n *Node) bool { return idx.has(n.Fn, verbCold) })
+}
+
+// followHot reports whether hot propagation crosses e. Go edges are not
+// followed: a spawned goroutine runs off the period budget (and gets its
+// own lifecycle analyzer). Nor are method values: one is only hot if some
+// hot function eventually calls it, which shows up as a static or
+// interface edge at that call site.
+func followHot(e Edge) bool {
+	return e.Kind == EdgeStatic || e.Kind == EdgeDefer || e.Kind == EdgeInterface
+}
+
+// labels renders a node path as labels.
+func labels(path []*Node) []string {
+	out := make([]string, len(path))
+	for i, n := range path {
+		out[i] = n.Label()
 	}
-	barrier := func(n *Node) bool {
-		return cfg.IsColdFunc(n.Pkg.Path, recvTypeName(n.Fn), n.Fn.Name())
+	return out
+}
+
+// pkgBase returns the last element of an import path.
+func pkgBase(path string) string {
+	if i := strings.LastIndex(path, "/"); i >= 0 {
+		return path[i+1:]
 	}
-	hot := make(map[*types.Func][]string)
-	for node, path := range g.Reachable(roots, follow, barrier) {
-		labels := make([]string, len(path))
-		for i, p := range path {
-			labels[i] = p.Label()
-		}
-		hot[node.Fn] = labels
+	return path
+}
+
+// recvTypeName extracts the bare receiver type name of a method
+// declaration ("Engine" from func (e *Engine) Tick...), or "".
+func recvTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
 	}
-	return hot
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }

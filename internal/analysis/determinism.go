@@ -12,8 +12,7 @@ import (
 // identical at Workers=1 vs 4, the perf suite's parallel-vs-serial
 // machine-state comparison (DESIGN.md §6, §11) — only hold if nothing in
 // those paths consults a source of nondeterminism. Four rules, applied to
-// the Config.DeterministicPkgs packages and Config.DeterministicFuncs
-// functions:
+// the packages and functions marked //caer:deterministic:
 //
 //  1. no wall-clock reads (time.Now/Since/Until/Sleep): simulated time is
 //     the only clock; wall time varies run to run.
@@ -50,7 +49,7 @@ var seededRandFuncs = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	wholePkg := pass.Cfg.IsDeterministicPkg(pass.Pkg.Path())
+	wholePkg := pass.Dirs.has(pass.Pkg, verbDeterministic)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -58,8 +57,7 @@ func runDeterminism(pass *Pass) {
 				continue
 			}
 			if !wholePkg {
-				fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok || !pass.Cfg.IsDeterministicFunc(pass.Pkg.Path(), recvTypeName(fn), fn.Name()) {
+				if !pass.Dirs.has(pass.Info.Defs[fd.Name], verbDeterministic) {
 					continue
 				}
 			}

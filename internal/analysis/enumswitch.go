@@ -16,13 +16,18 @@ import (
 // added is exactly the "batch keeps running during contention" bug the
 // paper's protocol forbids (§3.2: all batch applications must honour the
 // directive every period). A default case is still allowed (for panics on
-// corrupt values), but it does not excuse missing enumerators.
+// corrupt values), but it does not excuse missing enumerators. The checked
+// types carry //caer:enum.
 var EnumSwitch = &Analyzer{
 	Name: "enumswitch",
-	Doc: "require switch statements over the reaction enums (comm.Directive, comm.Role, " +
+	Doc: "require switch statements over //caer:enum types (comm.Directive, comm.Role, " +
 		"Verdict, ...) to enumerate every declared constant of the type",
 	Run: runEnumSwitch,
 }
+
+// enumSentinelPrefix marks count sentinels (numEvents) that are excluded
+// from exhaustiveness.
+const enumSentinelPrefix = "num"
 
 func runEnumSwitch(pass *Pass) {
 	for _, file := range pass.Files {
@@ -47,7 +52,7 @@ func checkEnumSwitch(pass *Pass, sw *ast.SwitchStmt) {
 		return
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !pass.Cfg.IsEnumType(obj.Pkg().Path(), obj.Name()) {
+	if obj.Pkg() == nil || !pass.Dirs.has(obj, verbEnum) {
 		return
 	}
 
@@ -97,7 +102,7 @@ func enumConstants(pass *Pass, named *types.Named) []*types.Const {
 		if !ok || !types.Identical(c.Type(), named) {
 			continue
 		}
-		if pass.Cfg.isSentinelConst(c.Name()) {
+		if strings.HasPrefix(strings.ToLower(c.Name()), enumSentinelPrefix) {
 			continue
 		}
 		out = append(out, c)

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bufio"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -85,9 +86,7 @@ func loadTestPkg(t *testing.T, rel string) *Package {
 func runGolden(t *testing.T, rel string) {
 	t.Helper()
 	pkg := loadTestPkg(t, rel)
-	cfg := DefaultConfig()
-	cfg.ModulePath = "test"
-	findings := RunAnalyzers(pkg, Analyzers(), cfg)
+	findings := RunAnalyzers(pkg, Analyzers(), &Config{ModulePath: "test"})
 	wants := parseWants(t, pkg.Dir)
 
 	for _, f := range findings {
@@ -126,8 +125,7 @@ func TestGoldenPart(t *testing.T)      { runGolden(t, "part") }
 // analyzer of the suite must have at least one seeded violation across the
 // golden packages, or a regression could silently disable it.
 func TestGoldenSeedsEveryAnalyzer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ModulePath = "test"
+	cfg := &Config{ModulePath: "test"}
 	hit := make(map[string]int)
 	for _, rel := range []string{"comm", "caer", "pmu", "telemetry", "mem", "lifecycle", "teldisc", "hygiene", "fleet", "part"} {
 		for _, f := range RunAnalyzers(loadTestPkg(t, rel), Analyzers(), cfg) {
@@ -142,32 +140,44 @@ func TestGoldenSeedsEveryAnalyzer(t *testing.T) {
 }
 
 // TestSuppressionHygiene checks the hygiene analyzer over its dedicated
-// fixture package: a reason-less allow is always a finding, an unused
-// allow is a finding under ReportUnusedSuppressions — but only when the
-// analyzers it names actually ran (subset runs must not cry stale).
+// fixture package: a reason-less allow and a malformed directive are
+// always findings; an unused allow, a barrier no hot function calls, and a
+// hot root another root reaches are findings under
+// ReportUnusedSuppressions — an unused allow only when the analyzers it
+// names actually ran (subset runs must not cry stale).
 func TestSuppressionHygiene(t *testing.T) {
 	pkg := loadTestPkg(t, "hygiene")
-	cfg := DefaultConfig()
-	cfg.ModulePath = "test"
-	cfg.ReportUnusedSuppressions = true
-
-	var missingReason, unused, other int
-	for _, f := range RunAnalyzers(pkg, Analyzers(), cfg) {
-		switch {
-		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "needs a reason"):
-			missingReason++
-		case f.Analyzer == Suppression.Name && strings.Contains(f.Message, "unused suppression"):
-			unused++
-		default:
-			other++
-			t.Errorf("unexpected finding in hygiene package: %s", f)
+	count := func(cfg *Config) map[string]int {
+		rules := []string{"needs a reason: //caer:allow", "unknown directive", "documents a func",
+			"annotates nothing", "needs a reason: //caer:cold", "unused suppression",
+			"stops nothing", "already reached from another root"}
+		got := make(map[string]int)
+		for _, f := range RunAnalyzers(pkg, Analyzers(), cfg) {
+			matched := false
+			for _, rule := range rules {
+				if f.Analyzer == Suppression.Name && strings.Contains(f.Message, rule) {
+					got[rule]++
+					matched = true
+				}
+			}
+			if !matched {
+				t.Errorf("unexpected finding in hygiene package: %s", f)
+			}
 		}
+		return got
 	}
-	if missingReason != 1 {
-		t.Errorf("missing-reason findings = %d, want 1", missingReason)
+	always := map[string]int{"needs a reason: //caer:allow": 1, "unknown directive": 1,
+		"documents a func": 1, "annotates nothing": 1, "needs a reason: //caer:cold": 1}
+	if got := count(&Config{ModulePath: "test"}); !maps.Equal(got, always) {
+		t.Errorf("hygiene findings without -unused-suppressions = %v, want %v", got, always)
 	}
-	if unused != 1 {
-		t.Errorf("unused-suppression findings = %d, want 1", unused)
+	cfg := &Config{ModulePath: "test", ReportUnusedSuppressions: true}
+	unused := maps.Clone(always)
+	unused["unused suppression"] = 1
+	unused["stops nothing"] = 1
+	unused["already reached from another root"] = 1
+	if got := count(cfg); !maps.Equal(got, unused) {
+		t.Errorf("hygiene findings with -unused-suppressions = %v, want %v", got, unused)
 	}
 
 	// A subset run without hotpath must not call the hotpath allow stale.
@@ -187,12 +197,12 @@ func TestSuppressionHygiene(t *testing.T) {
 // allocating snapshot API from a hot function).
 func TestSuppressionComment(t *testing.T) {
 	pkg := loadTestPkg(t, "caer")
-	cfg := DefaultConfig()
-	cfg.ModulePath = "test"
+	dirs, scanned := indexDirectives([]*Package{pkg})
 
 	var raw []Finding
 	pass := &Pass{Analyzer: HotPath, Fset: pkg.Fset, Files: pkg.Files,
-		Pkg: pkg.Types, Info: pkg.Info, Cfg: cfg, findings: &raw}
+		Pkg: pkg.Types, Info: pkg.Info, Cfg: &Config{ModulePath: "test"}, Dirs: dirs,
+		Hot: BuildCallGraph([]*Package{pkg}).HotSet(dirs), findings: &raw}
 	HotPath.Run(pass)
 
 	inSuppress := func(fs []Finding) int {
@@ -207,7 +217,7 @@ func TestSuppressionComment(t *testing.T) {
 	if got := inSuppress(raw); got != 1 {
 		t.Fatalf("expected exactly 1 raw hotpath finding in suppress.go, got %d", got)
 	}
-	if got := inSuppress(filterSuppressed(collectSuppressions(pkg), raw)); got != 0 {
+	if got := inSuppress(filterSuppressed(scanned[pkg].sups, raw)); got != 0 {
 		t.Errorf("suppressed finding survived filtering (%d left)", got)
 	}
 }

@@ -11,15 +11,14 @@ import (
 // (§6) leave no room for garbage-collector pressure or kernel round-trips
 // inside the functions that run every period: the engine tick, the monitor
 // probe, detector steps, responder reactions, and the table publish/read
-// operations. The function inventory lives in Config.HotPathFuncs;
-// arguments of panic calls are exempt (terminal paths are off-budget).
+// operations. Only the roots of that loop carry //caer:hot; arguments of
+// panic calls are exempt (terminal paths are off-budget).
 //
 // v2: the ban propagates transitively. A function two static calls below
-// an inventoried root runs every period just the same, so the analyzer
-// checks the whole hot closure (CallGraph.HotSet: static, defer, and
-// conservative interface edges; go edges and reviewed Config.ColdFuncs
-// barriers stop the walk) and reports the call path that makes a finding
-// hot.
+// a root runs every period just the same, so the analyzer checks the
+// whole hot closure (CallGraph.HotSet: static, defer, and conservative
+// interface edges; go edges and reviewed //caer:cold barriers stop the
+// walk) and reports the call path that makes a finding hot.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "flag allocations, fmt/time/os/syscall calls, map and channel operations, " +
@@ -49,12 +48,12 @@ func runHotPath(pass *Pass) {
 			if !ok {
 				continue
 			}
-			if pass.Cfg.IsHotPathFunc(pass.Pkg.Path(), recvTypeName(fn), fn.Name()) {
-				// Inventoried root: findings carry no path prefix.
-				checkHotBody(pass, fd, nil)
-			} else if path := pass.HotPathOf(fn); len(path) > 1 {
-				// Transitively hot: reached from a root through the call
-				// graph; findings name the chain that makes them hot.
+			if path := pass.Hot[fn]; path != nil {
+				// Findings below a root name the chain that makes them
+				// hot; a root's own findings carry no path.
+				if len(path) == 1 {
+					path = nil
+				}
 				checkHotBody(pass, fd, path)
 			}
 		}
@@ -146,7 +145,7 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, report func(token.Pos, string,
 				pkgBase(callee.Pkg().Path()), callee.Name(), reason)
 			return
 		}
-		if pass.Cfg.IsAllocFunc(callee.Pkg().Path(), recvTypeName(callee), callee.Name()) {
+		if pass.Dirs.has(callee, verbAlloc) {
 			recv := recvTypeName(callee)
 			if recv != "" {
 				recv += "."

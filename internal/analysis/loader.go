@@ -22,6 +22,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader // the loader that parsed it, for dependency directives
 }
 
 // Loader parses and type-checks packages of one module using only the
@@ -160,7 +162,7 @@ func (l *Loader) loadPath(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

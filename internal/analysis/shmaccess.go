@@ -18,8 +18,14 @@ var ShmAccess = &Analyzer{
 	Run: runShmAccess,
 }
 
+// commPackage is the final import-path element of the communication-table
+// package, the shared-memory owner.
+const commPackage = "comm"
+
+func isCommPackage(path string) bool { return pkgBase(path) == commPackage }
+
 func runShmAccess(pass *Pass) {
-	inComm := pass.Cfg.IsCommPackage(pass.Pkg.Path())
+	inComm := isCommPackage(pass.Pkg.Path())
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch node := n.(type) {
@@ -48,7 +54,7 @@ func checkCommFieldAccess(pass *Pass, sel *ast.SelectorExpr) {
 		return
 	}
 	obj := s.Obj()
-	if obj.Pkg() == nil || !pass.Cfg.IsCommPackage(obj.Pkg().Path()) {
+	if obj.Pkg() == nil || !isCommPackage(obj.Pkg().Path()) {
 		return
 	}
 	owner := namedTypeName(s.Recv())
@@ -74,7 +80,7 @@ func checkCommLiteral(pass *Pass, lit *ast.CompositeLit) {
 		return
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !pass.Cfg.IsCommPackage(obj.Pkg().Path()) {
+	if obj.Pkg() == nil || !isCommPackage(obj.Pkg().Path()) {
 		return
 	}
 	pass.Reportf(lit.Pos(),

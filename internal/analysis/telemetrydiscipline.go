@@ -15,16 +15,15 @@ import (
 //     handles they return are the allocation-free interface; code on the
 //     period loop only touches handles that already exist (package-level
 //     vars like the spine's, or fields filled by setup code).
-//  2. Family names come from one inventory. Every name passed to a
-//     registration call must be a compile-time constant that appears in
-//     Config.MetricNames — the machine-readable copy of DESIGN.md §10's
-//     registry table — so the spine, the docs, and the scrape surface
-//     cannot drift apart. A non-constant name defeats the check and is
-//     itself a finding.
+//  2. Family names are compile-time constants. DESIGN.md §10 documents
+//     every family, and TestMetricNamesDocumented holds each constant
+//     name passed to a registration call to that document, so the spine,
+//     the docs, and the scrape surface cannot drift apart. A non-constant
+//     name defeats that check and is itself a finding.
 var TelemetryDiscipline = &Analyzer{
 	Name: "telemetrydiscipline",
 	Doc: "forbid telemetry registration inside hot-path-reachable functions and " +
-		"require registered family names to be constants from the spine inventory",
+		"require registered family names to be compile-time constants",
 	Run: runTelemetryDiscipline,
 }
 
@@ -61,18 +60,10 @@ func runTelemetryDiscipline(pass *Pass) {
 					continue
 				}
 				fn, _ := pass.Info.Defs[d.Name].(*types.Func)
-				var hotPath []string
-				if fn != nil {
-					if pass.Cfg.IsHotPathFunc(pass.Pkg.Path(), recvTypeName(fn), fn.Name()) {
-						hotPath = []string{funcKeys(pass.Pkg.Path(), recvTypeName(fn), fn.Name())[0]}
-					} else if p := pass.HotPathOf(fn); len(p) > 1 {
-						hotPath = p
-					}
-				}
-				checkRegistrations(pass, d.Body, hotPath)
+				checkRegistrations(pass, d.Body, pass.Hot[fn])
 			case *ast.GenDecl:
 				// Package-level var initializers: the sanctioned place to
-				// register. Only the name inventory applies.
+				// register. Only the constant-name rule applies.
 				for _, spec := range d.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok {
 						for _, v := range vs.Values {
@@ -108,33 +99,15 @@ func checkRegistrations(pass *Pass, region ast.Node, hotPath []string) {
 					"register at package level or in setup code and keep only the handle here",
 				callee.Name())
 		}
-		if nameArg < 0 {
+		if nameArg < 0 || nameArg >= len(call.Args) {
 			return true
 		}
-		checkMetricName(pass, call, nameArg)
+		arg := call.Args[nameArg]
+		if tv := pass.Info.Types[arg]; tv.Value == nil || tv.Value.Kind() != constant.String {
+			pass.Reportf(arg.Pos(),
+				"telemetry family name is not a compile-time constant; the spine "+
+					"inventory check (DESIGN.md §10) needs a literal name")
+		}
 		return true
 	})
-}
-
-// checkMetricName verifies the family-name argument is a constant string
-// present in the spine inventory.
-func checkMetricName(pass *Pass, call *ast.CallExpr, idx int) {
-	if idx >= len(call.Args) {
-		return
-	}
-	arg := call.Args[idx]
-	tv, ok := pass.Info.Types[arg]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		pass.Reportf(arg.Pos(),
-			"telemetry family name is not a compile-time constant; the spine "+
-				"inventory check (DESIGN.md §10) needs a literal name")
-		return
-	}
-	name := constant.StringVal(tv.Value)
-	if !pass.Cfg.IsMetricName(name) {
-		pass.Reportf(arg.Pos(),
-			"telemetry family %q is not in the spine inventory; add it to "+
-				"DESIGN.md §10's registry table and the caer-vet MetricNames inventory",
-			name)
-	}
 }

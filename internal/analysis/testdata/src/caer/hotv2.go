@@ -1,12 +1,12 @@
 package caer
 
-// OwnMean is hot (matches caer.Engine.OwnMean); it is clean itself but
-// calls helpers the call graph must mark transitively hot.
+//caer:hot
 func (e *Engine) OwnMean() float64 {
 	return e.meanOf(len(e.notes))
 }
 
-// meanOf is one hop below the root: still hot, still clean.
+// meanOf is one hop below the hot root OwnMean, which is clean itself:
+// still hot, still clean.
 func (e *Engine) meanOf(n int) float64 {
 	return float64(e.depth(n))
 }
@@ -23,8 +23,10 @@ type Runtime struct {
 	scratch []float64
 }
 
-// Step is hot (matches caer.Runtime.Step); start below is a reviewed cold
-// barrier (Config.ColdFuncs), so the walk stops before its allocations.
+// Step is a hot root; start below is a reviewed cold barrier, so the walk
+// stops before its allocations.
+//
+//caer:hot
 func (rt *Runtime) Step() {
 	if !rt.started {
 		rt.start()
@@ -32,6 +34,8 @@ func (rt *Runtime) Step() {
 }
 
 // start allocates freely: it runs once, behind the cold barrier.
+//
+//caer:cold one-time lazy setup inside the first Step
 func (rt *Runtime) start() {
 	rt.started = true
 	rt.scratch = make([]float64, 1024)

@@ -1,10 +1,11 @@
-// Package comm is a testdata stand-in for the real communication table:
-// just enough surface for the analyzers' match rules (package base name
-// "comm", table types with deliberately exported raw state, reaction
-// enums, and error-returning teardown).
+// Package comm is a testdata stand-in for the communication table: the
+// Directive reaction order all batch applications must honour, the Role of
+// a registered application, a Slot whose hot Publish is the single-writer
+// append and whose Samples is an allocating snapshot API, and
+// error-returning teardown.
 package comm
 
-// Directive is a reaction order; all batch applications must honour it.
+//caer:enum
 type Directive int
 
 const (
@@ -12,7 +13,7 @@ const (
 	DirectivePause
 )
 
-// Role classifies a registered application.
+//caer:enum
 type Role int
 
 const (
@@ -20,21 +21,20 @@ const (
 	RoleBatch
 )
 
-// Slot deliberately exports raw state so non-comm testdata can violate the
-// single-writer access rule.
+// Slot exports raw state so non-comm testdata can break single-writer access.
 type Slot struct {
 	Raw []float64
 	Dir Directive
 }
 
-// Publish is the hot-path single-writer append (simplified).
+//caer:hot
 func (s *Slot) Publish(v float64) {
 	if len(s.Raw) > 0 {
 		s.Raw[0] = v
 	}
 }
 
-// Samples returns a copy of the window — an allocating snapshot API.
+//caer:alloc
 func (s *Slot) Samples() []float64 {
 	out := make([]float64, len(s.Raw))
 	copy(out, s.Raw)

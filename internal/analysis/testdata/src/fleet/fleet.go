@@ -1,7 +1,9 @@
-// Package fleet is a testdata stand-in for the cluster scheduler: its
-// Cluster/placer/driver methods match the hotpath analyzer's fleet
-// inventory, the whole package is in Config.DeterministicPkgs, and its
-// Policy/JobState/Curve enums are exhaustiveness-checked.
+// Package fleet is a testdata stand-in for the deterministic cluster
+// scheduler: Policy picks the placement strategy, JobState is a job's
+// lifecycle phase, and Curve shapes the arrival schedule. Its hot root
+// Cluster.Tick must stay allocation-free.
+//
+//caer:deterministic
 package fleet
 
 import (
@@ -10,7 +12,7 @@ import (
 	"time"
 )
 
-// Policy selects the cross-machine placement strategy.
+//caer:enum
 type Policy int
 
 const (
@@ -19,7 +21,7 @@ const (
 	PolicyPacked
 )
 
-// JobState is a fleet job's lifecycle phase.
+//caer:enum
 type JobState int
 
 const (
@@ -28,7 +30,7 @@ const (
 	JobFinished
 )
 
-// Curve shapes the open-loop arrival schedule.
+//caer:enum
 type Curve int
 
 const (
@@ -42,7 +44,6 @@ type job struct {
 	state JobState
 }
 
-// Cluster is the fleet scheduler stand-in.
 type Cluster struct {
 	jobs    []*job
 	byName  map[string]int
@@ -50,8 +51,7 @@ type Cluster struct {
 	tick    int
 }
 
-// Tick is hot (matches fleet.Cluster.Tick): the per-period fleet loop must
-// stay allocation-free, with arrivals delegated to the cold arrive barrier.
+//caer:hot
 func (c *Cluster) Tick() {
 	now := time.Now() // want hotpath "call to time.Now in hot path" determinism "wall-clock read time.Now"
 	_ = now
@@ -60,26 +60,26 @@ func (c *Cluster) Tick() {
 	c.tick++
 }
 
-// dispatch is hot (matches fleet.Cluster.dispatch): the bounded queue scan.
+// dispatch is hot through Tick: the bounded queue scan.
 func (c *Cluster) dispatch() {
 	c.byName["head"] = c.tick // want hotpath "map access in hot path"
 	c.arrive(1)
 }
 
-// arrive is a reviewed cold barrier (matches fleet.Cluster.arrive):
-// materializing job records allocates by documented design, so hot-path
-// propagation stops here and these allocations are clean.
+// arrive is a reviewed cold barrier: hot-path propagation stops here, so
+// its allocations are clean.
+//
+//caer:cold materializing job records allocates by documented design
 func (c *Cluster) arrive(n int) {
 	for i := 0; i < n; i++ {
 		c.jobs = append(c.jobs, &job{name: fmt.Sprintf("job-%d", len(c.jobs))})
 	}
 }
 
-// leastPressurePlacer matches the hot placer inventory entry.
+// leastPressurePlacer's Place is a hot root, called per dispatch attempt.
 type leastPressurePlacer struct{}
 
-// Place is hot (matches fleet.leastPressurePlacer.Place): one call per
-// dispatch attempt, so per-call scratch slices are off-budget.
+//caer:hot
 func (leastPressurePlacer) Place(loads []float64) int {
 	scores := []float64{0, 0} // want hotpath "slice literal allocates in hot path"
 	_ = scores

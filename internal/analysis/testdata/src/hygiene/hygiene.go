@@ -25,3 +25,40 @@ var (
 	_ = reasonless
 	_ = stale
 )
+
+// Directive hygiene. Always findings: an unknown verb, a directive on the
+// wrong kind of declaration or on none, and a reason-less barrier (which
+// is then not a barrier).
+
+//caer:hott
+func misspelled() {}
+
+//caer:enum
+func notAType() {}
+
+//caer:cold
+func unexplained() {}
+
+// Under ReportUnusedSuppressions: a barrier no hot function calls, and a
+// hot root another root already reaches.
+
+//caer:cold runs once at start-up
+func setup() {
+	//caer:hot
+}
+
+//caer:hot
+func loop() {
+	step()
+	unexplained()
+}
+
+//caer:hot
+func step() {}
+
+var (
+	_ = misspelled
+	_ = notAType
+	_ = setup
+	_ = loop
+)

@@ -1,6 +1,6 @@
-// Package mem is a testdata stand-in for the memory hierarchy: the whole
-// package is in Config.DeterministicPkgs, so the determinism rules apply
-// to every function in it.
+// Package mem is a testdata stand-in for the deterministic memory hierarchy.
+//
+//caer:deterministic
 package mem
 
 import (

@@ -1,9 +1,9 @@
-// Package part seeds partition-family fixtures: the spine's caer_part_*
-// metric inventory (telemetrydiscipline) and the lock/error discipline of
-// an owner-mask table stand-in (lockdiscipline). The real partition types
-// live in mem/sched/caer and are inventoried by package-qualified keys;
-// this package pins the package-independent rules a partition follow-on
-// would trip first.
+// Package part seeds partition-family fixtures: the caer_part_* metric
+// name rules (telemetrydiscipline, TestMetricNamesDocumented) and the
+// lock/error discipline of an owner-mask table stand-in (lockdiscipline).
+// The real partition types live in mem/sched/caer and carry their own
+// directives; this package pins the package-independent rules a partition
+// follow-on would trip first.
 package part
 
 import (
@@ -14,7 +14,7 @@ import (
 
 var reg = &telemetry.Registry{}
 
-// The partition spine families register with inventoried constant names:
+// The partition spine families register with documented constant names:
 // the sanctioned pattern, no findings.
 var (
 	plans     = reg.Counter("caer_part_plans_total")
@@ -22,11 +22,11 @@ var (
 	protected = reg.Gauge("caer_part_protected_ways")
 )
 
-// A partition family that drifted from the spine inventory.
-var rogue = reg.Counter("caer_part_rogue_total") // want telemetrydiscipline "not in the spine inventory"
+// A partition family that drifted from DESIGN.md §10's registry table.
+var rogue = reg.Counter("caer_part_rogue_total")
 
 // registerOwner builds a per-owner family name at run time, defeating the
-// inventory check (per-owner cardinality belongs in labels, not names).
+// documentation check (per-owner cardinality belongs in labels, not names).
 func registerOwner(owner string) {
 	_ = reg.Histogram("caer_part_owner_" + owner) // want telemetrydiscipline "not a compile-time constant"
 }

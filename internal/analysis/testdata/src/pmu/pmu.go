@@ -1,7 +1,7 @@
-// Package pmu is a testdata stand-in exercising the enumswitch count
-// sentinel exclusion (numEvents must not be demanded in switches).
+// Package pmu pins the enumswitch count-sentinel exclusion (numEvents).
 package pmu
 
+//caer:enum
 type Event int
 
 const (

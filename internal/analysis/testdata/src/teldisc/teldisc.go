@@ -1,18 +1,18 @@
 // Package teldisc seeds telemetry-discipline fixtures for the name rules:
-// family names must be compile-time constants drawn from the spine
-// inventory (Config.MetricNames), wherever the registration happens.
+// family names must be compile-time constants, wherever the registration
+// happens, and DESIGN.md §10 must document them (TestMetricNamesDocumented).
 package teldisc
 
 import "test/telemetry"
 
 var reg = &telemetry.Registry{}
 
-// Package-level registration with an inventoried constant name: the
+// Package-level registration with a documented constant name: the
 // sanctioned pattern, no finding.
 var ticks = reg.Counter("caer_engine_ticks_total")
 
-// Package-level registration with a name missing from the inventory.
-var rogue = reg.Gauge("caer_rogue_gauge") // want telemetrydiscipline "not in the spine inventory"
+// A name DESIGN.md does not document: TestMetricNamesDocumented's negative case.
+var rogue = reg.Gauge("caer_rogue_gauge")
 
 // setup registers during initialization — placement is fine (not
 // hot-reachable) — but the name rules still apply.

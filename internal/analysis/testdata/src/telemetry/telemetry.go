@@ -1,11 +1,10 @@
-// Package telemetry is a testdata stand-in for the telemetry spine: its
-// hot-path handles (Counter.Inc, Gauge.Set, Histogram.Observe,
-// SpanRecorder.Record) match the hotpath analyzer's default inventory, and
-// its MetricKind/SpanKind enums are exhaustiveness-checked.
+// Package telemetry is a testdata stand-in for the telemetry spine: hot
+// handles, a snapshot API, and exhaustiveness-checked enums.
 package telemetry
 
 import "fmt"
 
+//caer:enum
 type MetricKind int
 
 const (
@@ -14,6 +13,7 @@ const (
 	KindHistogram
 )
 
+//caer:enum
 type SpanKind int32
 
 const (
@@ -48,17 +48,17 @@ type Counter struct {
 	trail []uint64
 }
 
-// Inc is hot (matches telemetry.Counter.Inc): the instrumentation the
-// per-period loop calls must never allocate or log.
+//caer:hot
 func (c *Counter) Inc() {
+	// Per-period instrumentation must never allocate or log.
 	c.v++
 	c.trail = append(c.trail, c.v) // want hotpath "append() allocates in hot path"
 	fmt.Println("inc", c.v)        // want hotpath "call to fmt.Println in hot path"
 }
 
-// Add is hot (matches telemetry.Counter.Add); registering a family from
-// inside it is exactly what telemetrydiscipline forbids.
+//caer:hot
 func (c *Counter) Add(reg *Registry, delta uint64) {
+	// Registering a family here is what telemetrydiscipline forbids.
 	c.v += delta
 	hot := reg.Counter("caer_engine_ticks_total") // want telemetrydiscipline "registration Counter inside a hot-path-reachable function"
 	_ = hot
@@ -69,7 +69,7 @@ type Gauge struct {
 	names map[string]uint64
 }
 
-// Set is hot (matches telemetry.Gauge.Set).
+//caer:hot
 func (g *Gauge) Set(v float64) {
 	g.bits = uint64(v)
 	g.names["last"] = g.bits // want hotpath "map access in hot path"
@@ -85,7 +85,7 @@ type SpanRecorder struct {
 	seq  uint64
 }
 
-// Record is hot (matches telemetry.SpanRecorder.Record).
+//caer:hot
 func (r *SpanRecorder) Record(kind SpanKind, start uint64) {
 	r.ring[r.seq%uint64(len(r.ring))] = Span{Start: start, Kind: kind}
 	r.seq++
@@ -93,9 +93,9 @@ func (r *SpanRecorder) Record(kind SpanKind, start uint64) {
 	_ = snap
 }
 
-// Spans is the allocating snapshot API, banned inside hot functions. The
-// hot Record method above calls it, so the call graph marks its body
-// transitively hot (path: SpanRecorder.Record -> SpanRecorder.Spans).
+// Spans is the allocating snapshot API; the hot Record above calls it.
+//
+//caer:alloc
 func (r *SpanRecorder) Spans() []Span {
 	out := make([]Span, len(r.ring)) // want hotpath "make() allocates in hot path"
 	copy(out, r.ring)
@@ -106,7 +106,7 @@ type Histogram struct {
 	buckets []uint64
 }
 
-// Observe is hot (matches telemetry.Histogram.Observe).
+//caer:hot
 func (h *Histogram) Observe(v float64) {
 	idx := int(v)
 	if idx >= len(h.buckets) {
@@ -150,7 +150,7 @@ func badSpanName(k SpanKind) string {
 	}
 }
 
-// coldExport is not in the hot inventory: allocations here are fine.
+// coldExport is not on the hot path: allocations here are fine.
 func coldExport(r *SpanRecorder) string {
 	var out []byte
 	for _, s := range r.Spans() {

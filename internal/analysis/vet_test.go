@@ -16,7 +16,7 @@ func TestVetRealTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExpandPatterns: %v", err)
 	}
-	findings, err := Vet(root, path, dirs, Analyzers(), DefaultConfig())
+	findings, err := Vet(root, path, dirs, Analyzers(), nil)
 	if err != nil {
 		t.Fatalf("Vet: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestVetSeededTreeFails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExpandPatterns: %v", err)
 	}
-	findings, err := Vet(testdataRoot(t), "test", dirs, Analyzers(), DefaultConfig())
+	findings, err := Vet(testdataRoot(t), "test", dirs, Analyzers(), nil)
 	if err != nil {
 		t.Fatalf("Vet: %v", err)
 	}

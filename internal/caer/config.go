@@ -11,6 +11,8 @@
 // communication through internal/comm, so the runtime is backend-agnostic:
 // the same code drives the simulated machine and could drive real hardware
 // counters.
+//
+//caer:deterministic
 package caer
 
 import "fmt"

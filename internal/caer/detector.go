@@ -7,6 +7,8 @@ import (
 )
 
 // Verdict is the outcome of one detection step.
+//
+//caer:enum
 type Verdict int
 
 const (

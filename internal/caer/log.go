@@ -9,6 +9,8 @@ import (
 )
 
 // EventKind classifies a decision-log entry.
+//
+//caer:enum
 type EventKind int
 
 const (
@@ -131,6 +133,8 @@ func (l *EventLog) Cap() int { return len(l.events) }
 func (l *EventLog) Dropped() uint64 { return l.total - uint64(l.count) }
 
 // Events returns the retained events oldest-first.
+//
+//caer:alloc
 func (l *EventLog) Events() []Event {
 	out := make([]Event, l.count)
 	for i := 0; i < l.count; i++ {

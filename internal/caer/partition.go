@@ -49,6 +49,8 @@ func NewPartitionActuator(m *machine.Machine, confined mem.WayMask, mode mem.Res
 // every period; the applied cache makes the steady state a single compare,
 // so the per-period path stays allocation-free and mask resizes only fire
 // on directive transitions.
+//
+//caer:hot
 func (p *PartitionActuator) Actuate(core *machine.Core, d comm.Directive) {
 	id := core.ID()
 	confine := d == comm.DirectivePause
@@ -61,6 +63,8 @@ func (p *PartitionActuator) Actuate(core *machine.Core, d comm.Directive) {
 
 // resize applies the transition (cold path: transitions are rare relative
 // to periods and invalidate-mode resizes may allocate).
+//
+//caer:cold partition resize is control plane (DESIGN.md §16), reached only when the directive changes
 func (p *PartitionActuator) resize(core int, confine bool) {
 	mask := p.full
 	if confine {

@@ -13,6 +13,8 @@ import (
 // HeuristicKind selects which detection/response pairing a runtime uses:
 // the three configurations evaluated in the paper plus the hybrid
 // extension.
+//
+//caer:enum
 type HeuristicKind int
 
 const (
@@ -262,6 +264,7 @@ func (rt *Runtime) mustNotBeStarted() {
 	}
 }
 
+//caer:cold one-time lazy deployment build inside the first Step; later periods only check a flag
 func (rt *Runtime) start() {
 	if len(rt.latency) == 0 || len(rt.batch) == 0 {
 		panic("caer: runtime needs at least one latency-sensitive and one batch application")
@@ -355,6 +358,8 @@ func (rt *Runtime) registerCoreGauges(a app, role comm.Role) coreGauges {
 // triggers once the system has been quiet, checking only the triggers
 // (plus a keepalive probe every MaxProbeInterval periods, which is also
 // what lets the watchdog see a dead monitor through the sleep).
+//
+//caer:hot
 func (rt *Runtime) Step() {
 	if !rt.started {
 		rt.start()

@@ -8,6 +8,8 @@ import "fmt"
 // related work's event-driven detection (mc-linux: interrupt-style
 // detection is 2-13x faster than polling at equal overhead, and the
 // sampling-interval sweep has a sharp optimum).
+//
+//caer:enum
 type SamplingMode int
 
 const (
@@ -81,6 +83,8 @@ func NewIntervalController(max, growth, quietProbes int) *IntervalController {
 }
 
 // Interval returns the current probe interval in periods (>= 1).
+//
+//caer:hot
 func (c *IntervalController) Interval() int { return c.interval }
 
 // Widest returns the widest interval the controller has reached.

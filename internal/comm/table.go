@@ -20,6 +20,8 @@ import (
 )
 
 // Role classifies an application the way the paper's data centers do.
+//
+//caer:enum
 type Role int
 
 const (
@@ -45,6 +47,8 @@ func (r Role) String() string {
 
 // Directive is a reaction order recorded in the table. All batch
 // applications must adhere to the current directive (paper §3.2).
+//
+//caer:enum
 type Directive int
 
 const (
@@ -151,6 +155,8 @@ func (s *Slot) Published() uint64 {
 
 // Seq is Published under its protocol name: the per-slot publish sequence
 // number consumers compare across periods to detect a dead publisher.
+//
+//caer:hot
 func (s *Slot) Seq() uint64 { return s.Published() }
 
 // StalePeriods returns how many table periods the slot's owner is overdue:
@@ -210,6 +216,8 @@ func (s *Slot) LastSample() float64 {
 }
 
 // Samples returns a copy of the windowed samples, oldest first.
+//
+//caer:alloc
 func (s *Slot) Samples() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,6 +232,8 @@ func (s *Slot) SetDirective(d Directive) {
 }
 
 // Directive returns the current directive.
+//
+//caer:hot
 func (s *Slot) Directive() Directive {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,6 +288,8 @@ func (t *Table) Register(name string, role Role) *Slot {
 }
 
 // Slots returns all registered slots in registration order.
+//
+//caer:alloc
 func (t *Table) Slots() []*Slot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -287,6 +299,8 @@ func (t *Table) Slots() []*Slot {
 }
 
 // SlotsByRole returns the slots with the given role.
+//
+//caer:alloc
 func (t *Table) SlotsByRole(role Role) []*Slot {
 	t.mu.Lock()
 	defer t.mu.Unlock()

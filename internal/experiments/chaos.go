@@ -20,6 +20,8 @@ import (
 // dead monitor can pause the batch for at most the watchdog horizon.
 
 // FaultKind enumerates the injected fault classes.
+//
+//caer:enum
 type FaultKind int
 
 const (
@@ -288,6 +290,8 @@ func (r ChaosRegime) Check() error {
 }
 
 // Render writes the suite's reports as the EXPERIMENTS.md chaos table.
+//
+//caer:deterministic
 func (r ChaosRegime) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "Chaos regimes (fault injection, DESIGN.md §8)\n\n%-12s %-15s %-9s %9s %7s/%-7s %7s %6s %6s %8s %11s\n",
 		"heuristic", "fault", "sampling", "periods", "c+", "c-", "paused", "trips", "degr", "skipped", "max-sample"); err != nil {
@@ -304,6 +308,8 @@ func (r ChaosRegime) Render(w io.Writer) error {
 }
 
 // WriteJSON emits the suite as the BENCH_chaos.json artifact.
+//
+//caer:deterministic
 func (r ChaosRegime) WriteJSON(w io.Writer) error {
 	return writeJSON(w, r)
 }

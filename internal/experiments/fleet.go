@@ -247,6 +247,8 @@ func (r FleetRegime) Check() error {
 }
 
 // Table returns the fleet regime comparison as a table.
+//
+//caer:deterministic
 func (r FleetRegime) Table() *report.Table {
 	t := report.NewTable("policy", "completed", "jobs/kperiod",
 		"svc_p50", "svc_p99", "wait_p99", "sojourn_p99", "migrations", "dispatches")
@@ -277,6 +279,8 @@ func (r FleetRegime) Render(w io.Writer) error {
 
 // WriteJSON emits the fleet regime suite as a machine-readable artifact
 // (the BENCH_fleet.json format caer-bench writes for external tooling).
+//
+//caer:deterministic
 func (r FleetRegime) WriteJSON(w io.Writer) error {
 	return writeJSON(w, r)
 }

@@ -210,6 +210,8 @@ func (r PartitionRegime) Check() error {
 }
 
 // Table returns the regime comparison as a table.
+//
+//caer:deterministic
 func (r PartitionRegime) Table() *report.Table {
 	t := report.NewTable("response", "heuristic", "qos_degradation",
 		"jobs_completed", "batch_makespan", "batch_duty", "verdicts")
@@ -236,6 +238,8 @@ func (r PartitionRegime) Render(w io.Writer) error {
 
 // WriteJSON emits the regime suite as a machine-readable artifact (the
 // BENCH_partition.json format caer-bench writes for external tooling).
+//
+//caer:deterministic
 func (r PartitionRegime) WriteJSON(w io.Writer) error {
 	return writeJSON(w, r)
 }

@@ -77,6 +77,8 @@ func Regimes() []Regime {
 }
 
 // writeJSON encodes v as an indented BENCH_*.json artifact.
+//
+//caer:deterministic
 func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -250,6 +250,8 @@ func (r SamplingReport) Check() error {
 }
 
 // Table renders the sweep as a comparison table.
+//
+//caer:deterministic
 func (r SamplingReport) Table() *report.Table {
 	t := report.NewTable("mode", "max_int", "probes", "skipped", "keepalive",
 		"fires", "flagged", "false", "mean_lat", "max_lat")
@@ -280,6 +282,8 @@ func (r SamplingReport) Render(w io.Writer) error {
 
 // WriteJSON emits the sweep as a machine-readable artifact (the
 // BENCH_sampling.json format caer-bench writes for external tooling).
+//
+//caer:deterministic
 func (r SamplingReport) WriteJSON(w io.Writer) error {
 	return writeJSON(w, r)
 }

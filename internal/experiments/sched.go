@@ -209,6 +209,8 @@ func (r SchedRegime) Check() error {
 }
 
 // Table returns the regime comparison as a table.
+//
+//caer:deterministic
 func (r SchedRegime) Table() *report.Table {
 	t := report.NewTable("policy", "qos_degradation", "jobs_completed",
 		"batch_duty", "admissions_d0/d1", "max_wait", "aged", "migrations")
@@ -237,6 +239,8 @@ func (r SchedRegime) Render(w io.Writer) error {
 
 // WriteJSON emits the regime suite as a machine-readable artifact (the
 // BENCH_sched.json format caer-bench writes for external tooling).
+//
+//caer:deterministic
 func (r SchedRegime) WriteJSON(w io.Writer) error {
 	return writeJSON(w, r)
 }

@@ -464,6 +464,8 @@ func (r SLORegime) Check() error {
 }
 
 // Table returns the policy comparison as a table.
+//
+//caer:deterministic
 func (r SLORegime) Table() *report.Table {
 	t := report.NewTable("policy", "completed", "jobs/kperiod",
 		"svc_p50", "svc_p99", "alerts", "fresh_decisions", "dispatches")
@@ -504,6 +506,8 @@ func (r SLORegime) Render(w io.Writer) error {
 }
 
 // WriteJSON emits the suite as the BENCH_slo.json artifact.
+//
+//caer:deterministic
 func (r SLORegime) WriteJSON(w io.Writer) error {
 	return writeJSON(w, r)
 }

@@ -10,6 +10,8 @@ import (
 // sched.JobState: a dispatched fleet job is waiting, running, or — after a
 // cross-machine migration withdrew it — re-dispatched inside some
 // machine's scheduler.
+//
+//caer:enum
 type JobState int
 
 const (

@@ -10,6 +10,8 @@ import (
 // uses to map arriving jobs onto machines. It is the cluster-level
 // analogue of sched.Policy, which then places the job onto an LLC domain
 // within the chosen machine.
+//
+//caer:enum
 type Policy int
 
 const (

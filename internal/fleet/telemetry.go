@@ -139,6 +139,8 @@ type telState struct {
 }
 
 // fresh reports whether the state is within the staleness horizon at tick.
+//
+//caer:hot
 func (t *telState) fresh(tick, horizon int) bool {
 	return t.lastTick >= 0 && tick-t.lastTick <= horizon
 }
@@ -147,6 +149,8 @@ func (t *telState) fresh(tick, horizon int) bool {
 // path (runs every ScrapePeriod ticks): parses text, allocates freely. A
 // failed scrape leaves the machine's last view standing and its age
 // growing — exactly what a dead exporter looks like from a real collector.
+//
+//caer:cold amortized: runs once every ScrapePeriod ticks and parses whole text snapshots (DESIGN.md §15)
 func (c *Cluster) scrapeAll() {
 	for k := range c.nodes {
 		c.scrapeBuf.Reset()
@@ -291,6 +295,8 @@ func (c *Cluster) fillTelViews() {
 }
 
 // DecisionKind classifies a fleet decision-log entry.
+//
+//caer:enum
 type DecisionKind int
 
 const (

@@ -10,6 +10,8 @@ import (
 
 // Curve selects the shape of the open-loop arrival-rate schedule the
 // traffic driver follows.
+//
+//caer:enum
 type Curve int
 
 const (

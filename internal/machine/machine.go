@@ -17,6 +17,8 @@
 //
 // The machine implements pmu.Source; the CAER runtime reads counters only
 // through that interface.
+//
+//caer:deterministic
 package machine
 
 import (
@@ -381,9 +383,11 @@ func (m *Machine) domainWorker(tasks <-chan domainTask) {
 }
 
 // dispatch fans one batch of periods out to the pool, one task per domain,
-// and waits for the barrier. Kept out of the hot-path inventory: the
+// and waits for the barrier. A cold barrier for caer-vet's hot path: the
 // channel handoff is the price of parallelism and is paid once per batch,
 // not per access.
+//
+//caer:cold worker-pool handoff, paid once per dispatched batch of periods, not per access (DESIGN.md §11)
 func (m *Machine) dispatch(n int) {
 	m.poolWG.Add(len(m.hiers))
 	for d := range m.hiers {

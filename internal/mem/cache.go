@@ -149,6 +149,8 @@ func (c *Cache) Refresh(addr uint64) bool {
 }
 
 // Contains probes for addr without touching stats or replacement state.
+//
+//caer:hot
 func (c *Cache) Contains(addr uint64) bool {
 	set := c.setOf(addr)
 	base := set * c.ways

@@ -8,6 +8,8 @@
 // reference streams that both exceed their private caches compete for L3
 // sets and evict each other's lines, which raises both of their LLC miss
 // counts — the signal the CAER heuristics consume.
+//
+//caer:deterministic
 package mem
 
 import (

@@ -60,6 +60,8 @@ func (m WayMask) String() string { return fmt.Sprintf("0x%x", uint64(m)) }
 
 // ResizeMode selects what happens to an owner's lines stranded outside its
 // new mask when a partition is resized.
+//
+//caer:enum
 type ResizeMode int
 
 const (

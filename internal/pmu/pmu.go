@@ -16,6 +16,8 @@ import (
 )
 
 // Event identifies a hardware event a counter can be programmed to count.
+//
+//caer:enum
 type Event int
 
 // Supported events. EventLLCMisses and EventInstrRetired are the two the
@@ -150,6 +152,8 @@ func (p *PMU) ReadDelta(ev Event) uint64 {
 // Peek is fault-transparent: it reads through the source's Peeker path when
 // available, so interleaving Peeks with ReadDeltas cannot advance a seeded
 // FaultSource's schedule or double-apply a per-read fault to one period.
+//
+//caer:hot
 func (p *PMU) Peek(ev Event) uint64 {
 	cur := p.peek(p.core, ev)
 	if cur < p.last[ev] {
@@ -192,6 +196,8 @@ func NewSampler(pmu *PMU, events []Event, record bool) *Sampler {
 // Probe reads and restarts every configured event, returning the sample.
 // Each call represents one sampling period (1 ms in the paper). The probe
 // itself is allocation-free; only the opt-in recording mode grows state.
+//
+//caer:hot
 func (s *Sampler) Probe() Sample {
 	telemetry.PMUProbes.Inc()
 	sm := Sample{Period: s.period}

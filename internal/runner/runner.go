@@ -23,6 +23,8 @@ import (
 )
 
 // Mode distinguishes the three ways a scenario can run.
+//
+//caer:enum
 type Mode int
 
 const (

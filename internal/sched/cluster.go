@@ -16,6 +16,8 @@ import (
 // throttling.
 
 // ClusterKind labels the cache cluster an app is assigned to.
+//
+//caer:enum
 type ClusterKind int
 
 const (
@@ -198,7 +200,7 @@ func PlanClusters(classes []AppClass, ways, pressure int, cfg ClusterConfig) Clu
 }
 
 // Clusterer holds one LLC domain's current plan and recomputes it
-// allocation-free every period (the caer-vet hotpath inventory pins the
+// allocation-free every period (caer-vet's hot-path closure covers the
 // Rescore path).
 type Clusterer struct {
 	cfg  ClusterConfig

@@ -4,6 +4,8 @@ import "fmt"
 
 // Policy selects the placement strategy the scheduler uses to map admitted
 // batch jobs onto LLC domains.
+//
+//caer:enum
 type Policy int
 
 const (

@@ -3,6 +3,8 @@ package sched
 import "fmt"
 
 // JobState is a batch job's position in the admission lifecycle.
+//
+//caer:enum
 type JobState int
 
 const (

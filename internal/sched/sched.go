@@ -21,8 +21,10 @@
 // Each placed job still runs under a per-job CAER engine (detection +
 // throttling, scoped to its domain's latency-sensitive neighbours), so
 // placement and the paper's reaction machinery compose. The per-period
-// observation/decision path is allocation-free and registered in the
-// caer-vet hotpath inventory.
+// observation/decision path is allocation-free and on caer-vet's hot
+// path, reached from the //caer:hot roots.
+//
+//caer:deterministic
 package sched
 
 import (
@@ -37,6 +39,8 @@ import (
 )
 
 // ResponseKind selects the scheduler's contention response family.
+//
+//caer:enum
 type ResponseKind int
 
 const (
@@ -67,6 +71,8 @@ func (k ResponseKind) String() string {
 }
 
 // DecisionKind classifies an entry of the scheduler's decision log.
+//
+//caer:enum
 type DecisionKind int
 
 const (
@@ -414,6 +420,8 @@ func (s *Scheduler) Summarize(sum *Summary) {
 }
 
 // LatencyApps returns the number of hosted latency-sensitive apps.
+//
+//caer:hot
 func (s *Scheduler) LatencyApps() int { return len(s.latency) }
 
 // Monitor returns latency app i's CAER-M monitor, in registration order —
@@ -558,6 +566,7 @@ func (s *Scheduler) mustNotBeStarted() {
 	}
 }
 
+//caer:cold one-time lazy deployment build inside the first Step, mirroring caer.Runtime.start
 func (s *Scheduler) start() {
 	if len(s.latency) == 0 {
 		panic("sched: scheduler needs at least one latency-sensitive app")
@@ -803,6 +812,8 @@ func (s *Scheduler) applyPartitions() {
 // resizePartition applies one owner's new L3 way-mask, back-invalidating
 // dropped lines under invalidate-mode resizes. Cold path: resizes are rare
 // relative to periods and may allocate.
+//
+//caer:cold partition resize is control plane (DESIGN.md §16), reached only when a cluster plan changes
 func (s *Scheduler) resizePartition(d, localCore int, mask mem.WayMask) {
 	h := s.m.DomainHierarchy(d)
 	dropped := h.SetL3OwnerMask(localCore, mask, s.cfg.Cluster.ResizeMode)
@@ -819,6 +830,8 @@ func (s *Scheduler) resizePartition(d, localCore int, mask mem.WayMask) {
 }
 
 // finishJobs retires jobs that ran to completion, releasing their cores.
+//
+//caer:cold decision path: records decisions, rebuilds engines and logs, allocating by documented design
 func (s *Scheduler) finishJobs() {
 	for i, j := range s.jobs {
 		if j.state != JobRunning || !j.proc.Done() {
@@ -889,6 +902,8 @@ func (s *Scheduler) admit() {
 }
 
 // admitTo places queue head j on domain d and records the decision.
+//
+//caer:cold decision path: records decisions, rebuilds engines and logs, allocating by documented design
 func (s *Scheduler) admitTo(head int, j *jobState, d int, aged bool) {
 	s.queue.pop()
 	core := s.findFreeCore(d)
@@ -964,6 +979,8 @@ func (s *Scheduler) fillViews() {
 // predicted interference the most — by at least MigrationMargin — is
 // re-placed there. The job's process survives the move; its caches start
 // cold on the new domain (the realistic migration cost).
+//
+//caer:cold decision path: records decisions, rebuilds engines and logs, allocating by documented design
 func (s *Scheduler) maybeMigrate() {
 	if s.cfg.MigrationPeriod <= 0 || s.period%uint64(s.cfg.MigrationPeriod) != 0 {
 		return

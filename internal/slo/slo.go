@@ -30,6 +30,8 @@ import (
 
 // ObjectiveKind selects how an objective turns a series window into an
 // error ratio.
+//
+//caer:enum
 type ObjectiveKind int
 
 const (
@@ -56,6 +58,8 @@ func (k ObjectiveKind) String() string {
 }
 
 // AlertState is one objective's position in the alert state machine.
+//
+//caer:enum
 type AlertState int
 
 const (

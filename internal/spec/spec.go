@@ -27,6 +27,8 @@ import (
 // Sensitivity is a benchmark's qualitative cross-core interference
 // sensitivity class (paper §6.3): how much co-location with a cache-hungry
 // adversary hurts it.
+//
+//caer:enum
 type Sensitivity int
 
 const (

@@ -118,6 +118,8 @@ func (w *Window) Reset() {
 
 // Snapshot returns the held samples oldest-first in a freshly allocated
 // slice. It is intended for logging and tests, not hot paths.
+//
+//caer:alloc
 func (w *Window) Snapshot() []float64 {
 	out := make([]float64, w.count)
 	for i := 0; i < w.count; i++ {

@@ -112,6 +112,8 @@ func (s *Series) FirstRetained() int {
 func (s *Series) Retained() int { return s.samples - s.FirstRetained() }
 
 // Tracks lists the tracked series in registration order.
+//
+//caer:alloc
 func (s *Series) Tracks() []TrackInfo {
 	out := make([]TrackInfo, len(s.tracks))
 	for i := range s.tracks {
@@ -138,6 +140,8 @@ func (s *Series) Lookup(name string, kv ...string) (TrackRef, bool) {
 // extend (re)builds the track table to cover every currently registered
 // metric. Cold path by design: it allocates rings; Sample calls it only
 // when the registry has grown since the last extend.
+//
+//caer:cold amortized ring growth when a registry gains tracks, never on the steady-state sample path
 func (s *Series) extend() {
 	if s.reg == nil {
 		panic("telemetry: parsed series is read-only")
@@ -268,6 +272,8 @@ func (s *Series) RateAt(t TrackRef, end, window int) float64 {
 }
 
 // Rate is RateAt ending at the latest sample.
+//
+//caer:hot
 func (s *Series) Rate(t TrackRef, window int) float64 {
 	return s.RateAt(t, s.samples, window)
 }
@@ -311,6 +317,8 @@ func (s *Series) MeanAt(t TrackRef, end, window int) float64 {
 }
 
 // Mean is MeanAt ending at the latest sample.
+//
+//caer:hot
 func (s *Series) Mean(t TrackRef, window int) float64 {
 	return s.MeanAt(t, s.samples, window)
 }
@@ -357,6 +365,8 @@ func (s *Series) OverShareAt(t TrackRef, end, window int, bound float64) float64
 }
 
 // OverShare is OverShareAt ending at the latest sample.
+//
+//caer:hot
 func (s *Series) OverShare(t TrackRef, window int, bound float64) float64 {
 	return s.OverShareAt(t, s.samples, window, bound)
 }
@@ -365,6 +375,8 @@ func (s *Series) OverShare(t TrackRef, window int, bound float64) float64 {
 // sample index end (exclusive) and returns its q-quantile (0 when the
 // window saw no observations). Query path: allocates a stats.Histogram —
 // per-period consumers use OverShareAt instead.
+//
+//caer:alloc
 func (s *Series) QuantileOverAt(t TrackRef, end, window int, q float64) float64 {
 	h := s.WindowHistogramAt(t, end, window)
 	if h.N() == 0 {
@@ -374,12 +386,16 @@ func (s *Series) QuantileOverAt(t TrackRef, end, window int, q float64) float64 
 }
 
 // QuantileOver is QuantileOverAt ending at the latest sample.
+//
+//caer:alloc
 func (s *Series) QuantileOver(t TrackRef, window int, q float64) float64 {
 	return s.QuantileOverAt(t, s.samples, window, q)
 }
 
 // WindowHistogramAt rebuilds a histogram track's windowed distribution as
 // a stats.Histogram with the track's geometry. Query path: allocates.
+//
+//caer:alloc
 func (s *Series) WindowHistogramAt(t TrackRef, end, window int) *stats.Histogram {
 	tr := &s.tracks[t]
 	if tr.m.kind != KindHistogram {
@@ -434,6 +450,8 @@ type trackJSON struct {
 // reads back. Export path: allocates. The encoding is canonical — tracks
 // in registration order, rows as strictly increasing sparse pairs — so
 // dump -> parse -> dump is byte-identical (FuzzParseSeries pins this).
+//
+//caer:alloc
 func (s *Series) WriteDump(w io.Writer) error {
 	first := s.FirstRetained()
 	retained := s.samples - first

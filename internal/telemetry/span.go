@@ -11,6 +11,8 @@ import (
 )
 
 // SpanKind classifies one span of the detection pipeline.
+//
+//caer:enum
 type SpanKind int32
 
 const (
@@ -146,6 +148,8 @@ func (r *SpanRecorder) Dropped() uint64 {
 func (r *SpanRecorder) Cap() int { return len(r.ring) }
 
 // Spans returns the retained spans oldest-first. Export path: allocates.
+//
+//caer:alloc
 func (r *SpanRecorder) Spans() []Span {
 	total := r.seq.Load()
 	n := total
@@ -230,6 +234,9 @@ func ParseChromeTrace(r io.Reader) ([]ChromeEvent, error) {
 // ChromeEvents converts the retained spans into trace events: one complete
 // ("X") slice per span on its track, plus thread-name metadata for named
 // tracks. Export path: allocates.
+//
+//caer:alloc
+//caer:deterministic
 func (r *SpanRecorder) ChromeEvents() []ChromeEvent {
 	spans := r.Spans()
 	events := make([]ChromeEvent, 0, len(spans)+8)

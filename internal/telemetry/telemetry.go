@@ -28,6 +28,8 @@ import (
 )
 
 // MetricKind classifies a registered metric.
+//
+//caer:enum
 type MetricKind int
 
 const (
@@ -140,6 +142,8 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // Snapshot copies the current bucket counts into a stats.Histogram with the
 // same geometry (underflow samples land at min, overflow at max), so
 // existing quantile/render machinery applies. Export path only: allocates.
+//
+//caer:alloc
 func (h *Histogram) Snapshot() *stats.Histogram {
 	s := stats.NewHistogram(h.min, h.max, len(h.buckets))
 	s.AddN(h.min-h.width, h.under.Load()) // below min: under bucket
@@ -281,6 +285,8 @@ func joinLabels(labels, extra string) string {
 // exposition format (version 0.0.4): families sorted by name, one HELP/TYPE
 // header per family, histograms expanded into cumulative _bucket/_sum/_count
 // series. Export path: allocates freely.
+//
+//caer:alloc
 func (r *Registry) WritePrometheus(out io.Writer) error {
 	var w strings.Builder
 	r.mu.Lock()

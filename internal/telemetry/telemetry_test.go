@@ -227,7 +227,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 }
 
 // Zero-allocation pins for every hot-path operation (ISSUE 4 acceptance
-// criterion). These are the operations in the caer-vet hotpath inventory.
+// criterion). These operations are on caer-vet's hot path.
 
 func TestCounterIncAllocs(t *testing.T) {
 	r := NewRegistry()

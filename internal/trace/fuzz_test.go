@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"caer/internal/telemetry"
@@ -63,6 +65,53 @@ func FuzzParseChromeTrace(f *testing.F) {
 		}
 		if got := PeriodCountFromChrome(back); got != periods {
 			t.Fatalf("round-trip changed period coverage: %d -> %d", periods, got)
+		}
+	})
+}
+
+// FuzzRead fuzzes the binary trace reader behind caer-trace replay.
+//
+// Contract: Read returns an error and never panics on malformed input
+// (truncation, bad magic or version, zero cores, an implausible record
+// count), and any trace it accepts survives a WriteTo -> Read round trip
+// unchanged.
+func FuzzRead(f *testing.F) {
+	tr := New(2)
+	tr.Append(0, []CoreSample{{LLCMisses: 10, Instructions: 4000}, {LLCMisses: 900, Instructions: 2500}})
+	tr.Append(1, []CoreSample{{LLCMisses: 12, Instructions: 4100}, {LLCMisses: 30, Instructions: 100, Paused: true}})
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		f.Fatalf("seed trace: %v", err)
+	}
+	valid := buf.Bytes()
+	header := func(cores uint16, records uint64) []byte {
+		h := binary.LittleEndian.AppendUint32(nil, traceMagic)
+		h = append(h, traceVersion)
+		h = binary.LittleEndian.AppendUint16(h, cores)
+		return binary.LittleEndian.AppendUint64(h, records)
+	}
+	f.Add(valid)                                                // round-tripped trace
+	f.Add(valid[:len(valid)-5])                                 // truncated mid-record
+	f.Add(append([]byte{0xde, 0xad, 0xbe, 0xef}, valid[4:]...)) // bad magic
+	f.Add(header(0, 1))                                         // zero cores
+	f.Add(header(2, 1<<40))                                     // oversized record count
+	f.Add(header(1, 3))                                         // records promised, none present
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return // rejected input: only the no-panic contract applies
+		}
+		var out bytes.Buffer
+		if _, err := got.WriteTo(&out); err != nil {
+			t.Fatalf("re-encode of accepted trace failed: %v", err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-read of re-encoded trace failed: %v", err)
+		}
+		if !reflect.DeepEqual(back, got) {
+			t.Fatalf("round trip changed the trace:\n got  %+v\n back %+v", got, back)
 		}
 	})
 }
